@@ -96,11 +96,12 @@ class MachineAssembly:
             )
 
     def set_tracer(self, tracer) -> None:
-        """Attach one trace recorder to every traceable component."""
-        from repro.sim import NullTracer
+        """Attach one trace recorder to every traceable component.
 
+        ``None`` detaches tracing everywhere.
+        """
         for core in self.cores:
-            core.tracer = tracer if tracer is not None else NullTracer()
+            core.tracer = tracer
         self.topology.fabric.set_tracer(tracer)
         for board in self.slices:
             board.measurement.tracer = tracer

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.network.params import SWITCH_BUFFER_TOKENS, LinkSpec
 from repro.network.token import HEADER_TOKENS, TOKEN_BITS, Token
 
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 
 if TYPE_CHECKING:
     from repro.network.switch import InputPort
@@ -132,13 +132,15 @@ class HalfLink:
 
     def seize(self, port: "InputPort") -> None:
         """Allocate the link to a route (caller checked :attr:`free`)."""
-        assert self.holder is None, f"{self.name} already held"
+        if self.holder is not None:
+            raise SimulationError(f"{self.name} already held")
         self.holder = port
         self._sent_since_seize = 0
 
     def release(self, port: "InputPort") -> None:
         """Release the link at route close."""
-        assert self.holder is port, f"{self.name} released by non-holder"
+        if self.holder is not port:
+            raise SimulationError(f"{self.name} released by non-holder")
         self.holder = None
 
     # -- token transfer -----------------------------------------------------
@@ -159,8 +161,10 @@ class HalfLink:
         their credit is refunded at delivery time (the far buffer never
         held them).
         """
-        assert self.can_send(), f"{self.name}: send while busy or out of credit"
-        assert self.sink is not None, f"{self.name}: unwired link"
+        if self.busy or self.credits <= 0:
+            raise SimulationError(f"{self.name}: send while busy or out of credit")
+        if self.sink is None:
+            raise SimulationError(f"{self.name}: unwired link")
         outcome: Token | None = token
         if (
             self.fault_hook is not None

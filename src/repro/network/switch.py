@@ -30,7 +30,7 @@ from repro.network.params import (
 )
 from repro.network.routing import Direction, NodeCoord, RoutingError
 from repro.network.token import HEADER_TOKENS, Token
-from repro.sim import Frequency, Simulator
+from repro.sim import Frequency, SimulationError, Simulator
 
 if TYPE_CHECKING:
     from repro.network.fabric import SwallowFabric
@@ -89,7 +89,8 @@ class InputPort:
 
     def accept(self, token: Token) -> None:
         """A token arrived from the upstream link."""
-        assert len(self.buffer) < self.capacity, f"{self.name}: buffer overrun"
+        if len(self.buffer) >= self.capacity:
+            raise SimulationError(f"{self.name}: buffer overrun")
         self.buffer.append(token)
         if self.ns is not None:
             self.ns.on_depth(self.switch.sim.now, len(self.buffer))
@@ -285,7 +286,8 @@ class InputPort:
 
     def _forward(self, route: RouteState) -> None:
         link = route.link
-        assert link is not None
+        if link is None:
+            raise SimulationError(f"{self.name}: forwarding on a route with no link")
         if not link.can_send():
             # A held link that is idle yet unsendable is out of credits:
             # the far buffer is full and backpressure reaches this port.
@@ -311,7 +313,8 @@ class InputPort:
 
     def _deliver_local(self, route: RouteState) -> None:
         target = route.local_target
-        assert target is not None
+        if target is None:
+            raise SimulationError(f"{self.name}: local delivery with no target chanend")
         token = self._peek()
         if token is None:
             return

@@ -231,14 +231,16 @@ class SimProfile:
 class SimProfiler:
     """Live hook object installed on a :class:`~repro.sim.engine.Simulator`.
 
-    The simulator calls :meth:`on_event` just before an event's callback
-    runs; when that call returns True the event was *sampled* and the
-    simulator calls :meth:`after_event` right after the callback returns
-    so the callback is wall-timed.  :meth:`on_cancelled_pop` fires per
-    cancelled event discarded by the heap.  Queue push volume and the
-    depth high-water mark come from the simulator's own counters at
-    :meth:`finish` time — the scheduling hot path carries no profiler
-    hook at all.
+    The simulator's drain loop (:meth:`repro.sim.engine.Simulator._drain`)
+    keeps the per-event ledger itself, in the profiler's ``_buf``,
+    ``_rle_key``, ``_rle_count`` and ``_events`` fields, and calls
+    :meth:`after_event` once a wall-sampled callback returns.
+    :meth:`on_cancelled_pop` fires per cancelled event discarded by
+    :meth:`~repro.sim.engine.Simulator.next_event_time`; the drain loop
+    adds its own cancelled pops to ``_cancelled`` in bulk.  Queue push
+    volume and the depth high-water mark come from the simulator's own
+    counters at :meth:`finish` time — the scheduling hot path carries no
+    profiler hook at all.
 
     ``wall_sample_every`` trades fidelity for overhead: 1 (default)
     wall-times every callback; N times every N-th event and scales the
@@ -279,8 +281,7 @@ class SimProfiler:
         #: into _counts.  Consecutive events usually share a callback
         #: (a core's tick loop), so the common hot-path case is a
         #:  pointer compare plus a local increment — no memory growth.
-        #: The simulator's profiled run loop inlines this (see
-        #: Simulator._run_profiled and Simulator.step); keep in sync.
+        #: Simulator._drain keeps this ledger with the fields hoisted.
         self._buf: list[tuple[Any, int]] = []
         self._rle_key: Any = None
         self._rle_count = 0
@@ -292,54 +293,21 @@ class SimProfiler:
         self._depth_timeline: list[tuple[int, int]] = []
         self._meta: list[tuple[float, float, Any]] = []
         self._meta_dropped = 0
-        self._current_key: Any = None
-        self._event_start: float = 0.0
 
     def attach_queue(self, queue: list) -> None:
         """Let the profiler sample queue depth from the live event heap."""
         self._queue_ref = queue
 
-    def on_event(self, callback: Callable[[], None]) -> bool:
-        """One kernel event is about to execute.
-
-        Returns True when this event is wall-sampled, in which case the
-        caller must invoke :meth:`after_event` once the callback
-        returns.  The simulator's profiled run loop inlines this exact
-        logic to shave the call overhead off the kernel hot path
-        (:meth:`repro.sim.engine.Simulator._run_profiled`); keep the
-        two in sync.
-        """
-        try:
-            key = callback.__code__
-        except AttributeError:
-            key = callback
-        if key is self._rle_key:
-            self._rle_count += 1
-        else:
-            if self._rle_count:
-                self._buf.append((self._rle_key, self._rle_count))
-            self._rle_key = key
-            self._rle_count = 1
-        n = self._events = self._events + 1
-        if n % self._sample_every:
-            return False
-        self._current_key = key
-        self._event_start = time.perf_counter()
-        return True
-
-    def after_event(self) -> None:
-        """The sampled event's callback just returned."""
-        duration = time.perf_counter() - self._event_start
-        key = self._current_key
-        if key is None:
-            return
-        self._current_key = None
+    def after_event(self, key: Any, started: float) -> None:
+        """A wall-sampled event's callback, keyed ``key`` and started at
+        ``perf_counter()`` time ``started``, just returned."""
+        duration = time.perf_counter() - started
         sampled = self._sampled_s
         sampled[key] = sampled.get(key, 0.0) + duration
         n = self._sampled_events = self._sampled_events + 1
         if len(self._meta) < self._meta_capacity:
             self._meta.append((
-                (self._event_start - self._wall_start) * 1e6,
+                (started - self._wall_start) * 1e6,
                 duration * 1e6,
                 key,
             ))

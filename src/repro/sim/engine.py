@@ -11,9 +11,10 @@ pure function of its configuration.
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from math import inf
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -65,37 +66,24 @@ def replay_window() -> Iterator[None]:
         KERNEL_STATS.events_replayed += replayed
 
 
-@dataclass(order=True)
-class _QueuedEvent:
-    time: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    executed: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
+    """A scheduled event, returned by :meth:`Simulator.schedule`.
 
-    __slots__ = ("_event",)
+    The handle *is* the queued event: the heap holds ``(time, seq,
+    handle)`` tuples, so heap comparisons run in C on the unique
+    ``(time, seq)`` prefix and never reach the handle.
+    """
 
-    def __init__(self, event: _QueuedEvent):
-        self._event = event
+    __slots__ = ("time", "callback", "cancelled", "executed")
 
-    @property
-    def time(self) -> int:
-        """Absolute firing time of the event, in picoseconds."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called before the event fired."""
-        return self._event.cancelled
-
-    @property
-    def executed(self) -> bool:
-        """Whether the event already fired."""
-        return self._event.executed
+    def __init__(self, time_ps: int, callback: Callable[[], None]):
+        #: Absolute firing time of the event, in picoseconds.
+        self.time = time_ps
+        self.callback = callback
+        #: Whether :meth:`cancel` withdrew the event before it fired.
+        self.cancelled = False
+        #: Whether the event already fired.
+        self.executed = False
 
     def cancel(self) -> bool:
         """Prevent the event from firing.  Idempotent.
@@ -105,9 +93,9 @@ class EventHandle:
         event — is a safe no-op.  Returns True only when this call
         actually withdrew a pending event.
         """
-        if self._event.executed or self._event.cancelled:
+        if self.executed or self.cancelled:
             return False
-        self._event.cancelled = True
+        self.cancelled = True
         return True
 
 
@@ -122,7 +110,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[_QueuedEvent] = []
+        self._queue: list[tuple[int, int, EventHandle]] = []
         self._seq = 0
         self._now = 0
         self._events_processed = 0
@@ -143,7 +131,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     @property
     def queue_depth_high_water(self) -> int:
@@ -162,13 +150,13 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_ps} ps; simulation time is already {self._now} ps"
             )
-        event = _QueuedEvent(time=time_ps, seq=self._seq, callback=callback)
+        event = EventHandle(time_ps, callback)
+        queue = self._queue
+        heappush(queue, (time_ps, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._queue, event)
-        depth = len(self._queue)
-        if depth > self._queue_hwm:
-            self._queue_hwm = depth
-        return EventHandle(event)
+        if len(queue) > self._queue_hwm:
+            self._queue_hwm = len(queue)
+        return event
 
     def next_event_time(self) -> int | None:
         """Firing time of the next pending event, or None when idle.
@@ -177,37 +165,114 @@ class Simulator:
         effect, so checkpoint policies can peek without perturbing the
         execution trajectory.
         """
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                if self._profiler is not None:
-                    self._profiler.on_cancelled_pop()
-                continue
-            return head.time
+        queue = self._queue
+        while queue:
+            time_ps, _, event = queue[0]
+            if not event.cancelled:
+                return time_ps
+            heappop(queue)
+            if self._profiler is not None:
+                self._profiler.on_cancelled_pop()
         return None
+
+    def _drain(self, until_ps: int | None = None, max_events: int | None = None) -> int:
+        """The event loop: fire queued events in ``(time, seq)`` order.
+
+        Stops when the queue is empty, when the next event lies after
+        ``until_ps``, or once ``max_events`` events have fired; cancelled
+        events are discarded as they reach the head.  Returns the number
+        of events fired.  The loop's state lives in locals, and the call
+        branches once on whether a profiler is installed: the profiled
+        branch also keeps the profiler's run-length event ledger, with
+        its state hoisted into locals too, and wall-times every
+        ``wall_sample_every``-th callback.  Its per-event cost is what
+        ``benchmarks/bench_observer_overhead.py`` budgets.
+        """
+        if max_events is not None and max_events < 1:
+            return 0
+        queue = self._queue
+        pop = heappop
+        until = inf if until_ps is None else until_ps
+        limit = -1 if max_events is None else max_events
+        executed = 0
+        profiler = self._profiler
+        if profiler is None:
+            try:
+                while queue:
+                    entry = pop(queue)
+                    event = entry[2]
+                    if event.cancelled:
+                        continue
+                    if entry[0] > until:
+                        heappush(queue, entry)
+                        break
+                    self._now = entry[0]
+                    event.executed = True
+                    executed += 1
+                    event.callback()
+                    if executed == limit:
+                        break
+            finally:
+                self._events_processed += executed
+            return executed
+        buf = profiler._buf
+        stride = profiler._sample_every
+        after_event = profiler.after_event
+        before = profiler._events
+        next_sample = stride - before % stride
+        # One compare per event covers both the sampling stride and the
+        # event limit: ``mark`` is whichever of the two comes first.
+        mark = next_sample if limit < 0 else min(next_sample, limit)
+        last_key = profiler._rle_key
+        # The open run holds events run_start+1 .. executed.
+        run_start = -profiler._rle_count
+        cancelled = 0
+        try:
+            while queue:
+                entry = pop(queue)
+                event = entry[2]
+                if event.cancelled:
+                    cancelled += 1
+                    continue
+                if entry[0] > until:
+                    heappush(queue, entry)
+                    break
+                self._now = entry[0]
+                event.executed = True
+                executed += 1
+                try:
+                    key = event.callback.__code__
+                except AttributeError:  # a callable object: key by itself
+                    key = event.callback
+                if key is not last_key:
+                    if executed - 1 > run_start:
+                        buf.append((last_key, executed - 1 - run_start))
+                    last_key = key
+                    run_start = executed - 1
+                if executed != mark:
+                    event.callback()
+                    continue
+                if executed == next_sample:
+                    next_sample += stride
+                    started = perf_counter()
+                    event.callback()
+                    after_event(key, started)
+                else:
+                    event.callback()
+                if executed == limit:
+                    break
+                mark = next_sample if limit < 0 else min(next_sample, limit)
+        finally:
+            self._events_processed += executed
+            profiler._events = before + executed
+            profiler._rle_key = last_key
+            profiler._rle_count = executed - run_start
+            profiler._cancelled += cancelled
+        return executed
 
     def step(self) -> bool:
         """Run the single next event.  Returns False if the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            profiler = self._profiler
-            if event.cancelled:
-                if profiler is not None:
-                    profiler.on_cancelled_pop()
-                continue
-            self._now = event.time
-            self._events_processed += 1
-            event.executed = True
-            if profiler is None:
-                event.callback()
-            elif profiler.on_event(event.callback):
-                event.callback()
-                profiler.after_event()
-            else:
-                event.callback()
-            return True
-        return False
+        return self._drain(max_events=1) == 1
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the event queue drains (or ``max_events`` fire).
@@ -219,79 +284,10 @@ class Simulator:
         self._running = True
         executed = 0
         try:
-            if self._profiler is not None and max_events is None:
-                executed = self._run_profiled()
-            else:
-                while self.step():
-                    executed += 1
-                    if max_events is not None and executed >= max_events:
-                        break
+            executed = self._drain(max_events=max_events)
         finally:
             self._running = False
             KERNEL_STATS.events_executed += executed
-        return executed
-
-    def _run_profiled(self) -> int:
-        """Drain the queue with the profiler's hot path hoisted.
-
-        Identical semantics to ``while self.step(): ...`` with a
-        profiler installed, but every per-event attribute lookup (the
-        queue, the profiler's key buffer, the sampling stride, the
-        bound hook methods) is lifted into locals once.  The observed
-        kernel's per-event cost is what the observer-overhead budget
-        measures (benchmarks/bench_observer_overhead.py), and a Python
-        attribute load per event is a measurable slice of it.  Keep in
-        sync with step().
-        """
-        queue = self._queue
-        profiler = self._profiler
-        buf = profiler._buf  # retained across folds: _fold() clears in place
-        stride = profiler._sample_every
-        after_event = profiler.after_event
-        on_cancelled = profiler.on_cancelled_pop
-        heappop = heapq.heappop
-        executed = 0
-        next_sample = stride
-        processed_before = self._events_processed
-        events_before = profiler._events
-        # Run-length state mirrors SimProfiler._rle_key/_rle_count so
-        # step()-driven and run()-driven windows share one ledger.
-        last_key = profiler._rle_key
-        run_len = profiler._rle_count
-        try:
-            while queue:
-                event = heappop(queue)
-                if event.cancelled:
-                    on_cancelled()
-                    continue
-                self._now = event.time
-                event.executed = True
-                executed += 1
-                callback = event.callback
-                try:
-                    key = callback.__code__
-                except AttributeError:
-                    key = callback
-                if key is last_key:
-                    run_len += 1
-                else:
-                    if run_len:
-                        buf.append((last_key, run_len))
-                    last_key = key
-                    run_len = 1
-                if executed != next_sample:
-                    callback()
-                else:
-                    next_sample = executed + stride
-                    profiler._current_key = key
-                    profiler._event_start = perf_counter()
-                    callback()
-                    after_event()
-        finally:
-            self._events_processed = processed_before + executed
-            profiler._events = events_before + executed
-            profiler._rle_key = last_key
-            profiler._rle_count = run_len
         return executed
 
     def run_until(self, time_ps: int) -> int:
@@ -308,17 +304,7 @@ class Simulator:
         self._running = True
         executed = 0
         try:
-            while self._queue:
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
-                    if self._profiler is not None:
-                        self._profiler.on_cancelled_pop()
-                    continue
-                if head.time > time_ps:
-                    break
-                self.step()
-                executed += 1
+            executed = self._drain(until_ps=time_ps)
         finally:
             self._running = False
             KERNEL_STATS.events_executed += executed

@@ -10,6 +10,7 @@ builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 #: Picoseconds per common unit.
 PS_PER_NS = 1_000
@@ -79,9 +80,10 @@ class Frequency:
         """The frequency in MHz (float, for reporting and power models)."""
         return self.hz / 1_000_000
 
-    @property
+    @cached_property
     def period_ps(self) -> int:
-        """The clock period in integer picoseconds."""
+        """The clock period in integer picoseconds (computed once: the
+        core issue path reads it on every tick)."""
         return max(1, round(PS_PER_S / self.hz))
 
     def cycles_to_ps(self, cycles: int) -> int:

@@ -32,6 +32,11 @@ class TraceRecord:
         return f"[{self.time_ps:>12} ps] {self.source:<24} {self.kind} {detail}".rstrip()
 
 
+def _materialise(raw: tuple) -> TraceRecord:
+    """A record from its flat raw form ``(time_ps, source, kind, *detail)``."""
+    return TraceRecord(raw[0], raw[1], raw[2], raw[3:])
+
+
 class TraceRecorder:
     """Collects :class:`TraceRecord` objects, optionally filtered by kind.
 
@@ -48,11 +53,14 @@ class TraceRecorder:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._kinds = set(kinds) if kinds is not None else None
         self._capacity = capacity
-        # Records are held as raw (time_ps, source, kind, detail) tuples
-        # and materialised into TraceRecord objects only on access: the
-        # record() hot path runs once per traced occurrence, so a tuple
-        # append keeps observer overhead within the profiler's budget
-        # (see benchmarks/bench_observer_overhead.py).
+        # Records are held as flat raw (time_ps, source, kind, *detail)
+        # tuples and materialised into TraceRecord objects only on
+        # access: the record() hot path runs once per traced occurrence,
+        # so a tuple append keeps observer overhead within the
+        # profiler's budget (see benchmarks/bench_observer_overhead.py).
+        # Flat matters: a tuple nesting the detail tuple survives its
+        # first garbage-collector pass still tracked, so every record
+        # would be promoted and rescanned by the older generations.
         self._records: deque[tuple] = deque(maxlen=capacity)
         self._appended = 0
 
@@ -71,30 +79,33 @@ class TraceRecorder:
         """
         return max(0, self._appended - len(self._records))
 
-    def record(self, time_ps: int, source: str, kind: str, *detail: Any) -> None:
-        """Append a record (subject to the kind filter and capacity).
+    def record(self, *raw: Any) -> None:
+        """``record(time_ps, source, kind, *detail)``: append a record.
 
-        At capacity the oldest record is evicted (ring-buffer
-        semantics) and :attr:`dropped` counts the eviction.
+        Subject to the kind filter and capacity: at capacity the oldest
+        record is evicted (ring-buffer semantics) and :attr:`dropped`
+        counts the eviction.  The arguments are taken as one tuple
+        because that tuple *is* the stored flat raw record — no second
+        tuple is built on this hot path.
         """
-        if self._kinds is not None and kind not in self._kinds:
+        if self._kinds is not None and raw[2] not in self._kinds:
             return
         self._appended += 1
-        self._records.append((time_ps, source, kind, detail))
+        self._records.append(raw)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return (TraceRecord(*raw) for raw in self._records)
+        return (_materialise(raw) for raw in self._records)
 
     def __getitem__(self, index: int) -> TraceRecord:
-        return TraceRecord(*self._records[index])
+        return _materialise(self._records[index])
 
     @property
     def records(self) -> list[TraceRecord]:
         """All collected records, in time order."""
-        return [TraceRecord(*raw) for raw in self._records]
+        return [_materialise(raw) for raw in self._records]
 
     def filter(
         self,
@@ -109,7 +120,7 @@ class TraceRecorder:
                 continue
             if source is not None and raw[1] != source:
                 continue
-            rec = TraceRecord(*raw)
+            rec = _materialise(raw)
             if predicate is not None and not predicate(rec):
                 continue
             out.append(rec)
@@ -129,7 +140,7 @@ class TraceRecorder:
         """A stable hash of the full trace — the determinism fingerprint."""
         hasher = hashlib.sha256()
         for raw in self._records:
-            hasher.update(repr(raw).encode())
+            hasher.update(repr((*raw[:3], raw[3:])).encode())
         return hasher.hexdigest()
 
     def clear(self) -> None:
@@ -189,6 +200,6 @@ class NullTracer(TraceRecorder):
     def __init__(self) -> None:
         super().__init__(kinds=())
 
-    def record(self, time_ps: int, source: str, kind: str, *detail: Any) -> None:
+    def record(self, *raw: Any) -> None:
         """Discard the record."""
         return

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.network.header import CHANEND_TYPE, ChanendAddress
-from repro.sim import Frequency, NullTracer, Simulator, TraceRecorder
+from repro.sim import Frequency, Simulator, TraceRecorder
 from repro.xs1.assembler import Program
 from repro.xs1.chanend import Chanend
 from repro.xs1.errors import ResourceError, TrapError
@@ -78,7 +78,9 @@ class XCore:
         self.fabric = fabric
         self.config = config or CoreConfig()
         self.name = name or f"core{node_id}"
-        self.tracer = tracer or NullTracer()
+        #: Optional trace sink for ``issue`` records (set via
+        #: MachineAssembly.set_tracer); None when tracing is off.
+        self.tracer = tracer
         self.memory = Sram(self.config.sram_bytes)
         self.threads: list[HardwareThread] = []
         self._chanends = [Chanend(self, i) for i in range(self.config.num_chanends)]
@@ -278,14 +280,24 @@ class XCore:
         self.sim.schedule_at(self._next_cycle_boundary(), self._tick)
 
     def _tick(self) -> None:
+        """One clock edge: give the issue slot to the first eligible thread.
+
+        The cycle number and the next edge are each computed once, from
+        locals; the next tick is scheduled exactly as
+        :meth:`_ensure_ticking` would.  The edge is computed after the
+        issue because the issuing thread may rescale the clock (a halt
+        can trigger a DVFS step, which re-anchors it).
+        """
         self._ticking = False
-        if not self._rotation:
+        rotation = self._rotation
+        if not rotation:
             return
-        issued = False
-        cycle = self.cycle
-        for _ in range(len(self._rotation)):
-            thread = self._rotation[0]
-            self._rotation.rotate(-1)
+        now = self.sim.now
+        cycle = (self._cycle_anchor
+                 + (now - self._anchor_time) // self._frequency.period_ps)
+        for _ in range(len(rotation)):
+            thread = rotation[0]
+            rotation.rotate(-1)
             if thread.next_issue_cycle > cycle:
                 continue
             self.current_thread = thread
@@ -296,12 +308,19 @@ class XCore:
             if outcome is not StepOutcome.PAUSED:  # issued or retired-and-halted
                 thread.next_issue_cycle = cycle + HardwareThread.PIPELINE_DEPTH
                 self.stats.slots_issued += 1
-                self.tracer.record(self.sim.now, self.name, "issue", thread.name)
-            issued = True
+                if self.tracer is not None:
+                    self.tracer.record(now, self.name, "issue", thread.name)
             break
-        if not issued:
+        else:
             self.stats.slots_bubble += 1
-        self._ensure_ticking()
+        if self._ticking or not rotation:
+            return
+        self._ticking = True
+        anchor = self._anchor_time
+        period = self._frequency.period_ps
+        self.sim.schedule_at(
+            anchor + ((now - anchor) // period + 1) * period, self._tick
+        )
 
     # ------------------------------------------------------------------
     # Resources

@@ -9,6 +9,7 @@ is woken, so handlers must be written to retry idempotently.
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from repro.network.header import CHANEND_TYPE, ChanendAddress
@@ -22,12 +23,25 @@ from repro.xs1.isa import (
 )
 from repro.xs1.registers import s32, u32
 from repro.xs1.resources import TimerResource
-from repro.xs1.thread import StepOutcome
 
 if TYPE_CHECKING:
     from repro.xs1.chanend import Chanend
     from repro.xs1.core import XCore
     from repro.xs1.thread import IsaThread
+
+
+class StepOutcome(Enum):
+    """Result of giving a thread one issue slot.
+
+    Defined here rather than in :mod:`repro.xs1.thread` (which re-exports
+    it) so the thread module can bind :func:`execute` at import time
+    without an import cycle.
+    """
+
+    ISSUED = "issued"      # an instruction issued; pc already updated
+    PAUSED = "paused"      # the instruction blocked; it will re-issue on wake
+    HALTED = "halted"      # the thread has finished
+
 
 _Handler = Callable[["XCore", "IsaThread", tuple[int, ...]], StepOutcome]
 _HANDLERS: dict[str, _Handler] = {}

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.xs1.errors import TrapError
+from repro.xs1.executor import StepOutcome, execute
 from repro.xs1.registers import RegisterFile
 
 if TYPE_CHECKING:
@@ -32,14 +33,6 @@ class ThreadState(Enum):
     RUNNABLE = "runnable"
     PAUSED = "paused"
     HALTED = "halted"
-
-
-class StepOutcome(Enum):
-    """Result of giving a thread one issue slot."""
-
-    ISSUED = "issued"      # an instruction issued; pc already updated
-    PAUSED = "paused"      # the instruction blocked; it will re-issue on wake
-    HALTED = "halted"      # the thread has finished
 
 
 class HardwareThread:
@@ -182,8 +175,6 @@ class IsaThread(HardwareThread):
 
     def step(self) -> StepOutcome:
         """Fetch and execute the instruction at ``pc``."""
-        from repro.xs1.executor import execute
-
         if self.pc < 0 or self.pc >= len(self.program.instructions):
             raise TrapError(
                 f"{self.name}: pc {self.pc} outside program "

@@ -11,7 +11,7 @@ from repro.network.params import (
     symbol_timing_cycles,
 )
 from repro.network.token import data_token
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 
 
 class FakePort:
@@ -84,7 +84,7 @@ class TestCredits:
             link.send(data_token(i))
             sim.run()
         assert not link.can_send()
-        with pytest.raises(AssertionError):
+        with pytest.raises(SimulationError):
             link.send(data_token(99))
 
     def test_credit_return_reenables(self):
@@ -126,7 +126,7 @@ class TestAllocation:
     def test_double_seize_asserts(self):
         link = make_link(Simulator())
         link.seize(FakePort())
-        with pytest.raises(AssertionError):
+        with pytest.raises(SimulationError):
             link.seize(FakePort())
 
     def test_stats_accumulate(self):

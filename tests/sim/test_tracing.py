@@ -81,6 +81,22 @@ class TestTraceRecorder:
         t2.record(2, "a", "x")
         assert t1.digest() != t2.digest()
 
+    def test_digest_hashes_each_record_with_its_detail_tuple(self):
+        """The fingerprint format is fixed: sha256 over the repr of
+        ``(time_ps, source, kind, detail)`` per record, whatever layout
+        the recorder stores records in."""
+        import hashlib
+
+        rows = [(1, "a", "x", ()), (2, "b", "y", ("p",)), (3, "c", "z", ("p", 7))]
+        tracer = TraceRecorder()
+        for time_ps, source, kind, detail in rows:
+            tracer.record(time_ps, source, kind, *detail)
+        expected = hashlib.sha256()
+        for row in rows:
+            expected.update(repr(row).encode())
+        assert tracer.digest() == expected.hexdigest()
+        assert [r.detail for r in tracer] == [row[3] for row in rows]
+
     def test_clear(self):
         tracer = TraceRecorder(capacity=1)
         tracer.record(1, "a", "x")
