@@ -209,11 +209,17 @@ def build_report(system: "SwallowSystem") -> EnergyReport:
 def _report_from_snapshot(system: "SwallowSystem", snapshot) -> EnergyReport:
     """Build the report purely from a metrics snapshot."""
     elapsed = snapshot.value("energy.elapsed_s", default=0.0)
+    # One pass over the per-class series, summed per node in sample order
+    # (what ``snapshot.sum(..., node=n)`` adds, without a scan per core).
+    by_node: dict[str | None, float] = {}
+    for labels, value in snapshot.series("core.instructions"):
+        node = labels.get("node")
+        by_node[node] = by_node.get(node, 0.0) + value
     rows = []
     for core in system.cores:
         node = str(core.node_id)
         energy = snapshot.value("energy.core_j", default=0.0, node=node)
-        instructions = int(snapshot.sum("core.instructions", node=node))
+        instructions = int(by_node.get(node, 0.0))
         rows.append(
             CoreEnergyRow(
                 node_id=core.node_id,

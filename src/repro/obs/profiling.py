@@ -33,7 +33,7 @@ time) is deterministic, but it rides in the same report.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from time import perf_counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -41,9 +41,9 @@ from typing import Any, Callable
 #: heap push/pop, the run loop, and profiler overhead itself.
 KERNEL_SOURCE = "<kernel>"
 
-#: Raw event keys accumulate in a flat list and are folded into counts
-#: in batches of this many (Counter.update runs at C speed), keeping the
-#: per-event hook to a single list append.  The batch is kept small
+#: Run-length (key, count) pairs accumulate in a flat list and are
+#: folded into the per-key counts in batches of this many, keeping the
+#: per-run hook to a single list append.  The batch is kept small
 #: enough for the buffer to stay cache-resident — larger batches
 #: measurably slow the observed kernel on small-cache hosts.
 _FOLD_THRESHOLD = 4096
@@ -252,7 +252,10 @@ class SimProfiler:
     The per-event hook is deliberately minimal: events are tallied by
     the callback's code object (shared across lambdas minted from the
     same line, so per-token closures do not bloat the dict) and name
-    resolution is deferred to :meth:`finish`, off the hot path.  See
+    resolution is deferred to :meth:`finish`, off the hot path.  The
+    tallies are keyed by the key object's ``id`` (the profiler keeps
+    every key alive in ``_keys``): hashing a code object hashes its
+    constants and names, several hundred nanoseconds per lookup.  See
     ``benchmarks/bench_observer_overhead.py`` for the budget this
     protects.
     """
@@ -285,12 +288,15 @@ class SimProfiler:
         self._buf: list[tuple[Any, int]] = []
         self._rle_key: Any = None
         self._rle_count = 0
-        self._counts: Counter = Counter()
-        self._sampled_s: dict[Any, float] = {}
+        #: Every key seen, by id; tallies below are keyed by the id.
+        self._keys: dict[int, Any] = {}
+        self._counts: dict[int, int] = {}
+        self._sampled_s: dict[int, float] = {}
         self._events = 0
         self._cancelled = 0
         self._sampled_events = 0
         self._depth_timeline: list[tuple[int, int]] = []
+        #: Sampled events as (perf_counter start, duration s, key).
         self._meta: list[tuple[float, float, Any]] = []
         self._meta_dropped = 0
 
@@ -301,16 +307,17 @@ class SimProfiler:
     def after_event(self, key: Any, started: float) -> None:
         """A wall-sampled event's callback, keyed ``key`` and started at
         ``perf_counter()`` time ``started``, just returned."""
-        duration = time.perf_counter() - started
+        duration = perf_counter() - started
+        k = id(key)
         sampled = self._sampled_s
-        sampled[key] = sampled.get(key, 0.0) + duration
+        if k in sampled:
+            sampled[k] += duration
+        else:
+            sampled[k] = duration
+            self._keys[k] = key
         n = self._sampled_events = self._sampled_events + 1
         if len(self._meta) < self._meta_capacity:
-            self._meta.append((
-                (started - self._wall_start) * 1e6,
-                duration * 1e6,
-                key,
-            ))
+            self._meta.append((started, duration, key))
         elif self._meta_capacity:
             self._meta_dropped += 1
         if n % self._depth_every == 0 and self._queue_ref is not None:
@@ -323,8 +330,14 @@ class SimProfiler:
     def _fold(self) -> None:
         """Aggregate pending run-length (key, count) pairs into counts."""
         counts = self._counts
+        keys = self._keys
         for key, count in self._buf:
-            counts[key] += count
+            k = id(key)
+            if k in counts:
+                counts[k] += count
+            else:
+                counts[k] = count
+                keys[k] = key
         self._buf.clear()
 
     def on_cancelled_pop(self) -> None:
@@ -350,14 +363,11 @@ class SimProfiler:
             self._rle_key = None
             self._rle_count = 0
         self._fold()
-        names = {key: _key_source(key) for key in self._counts}
-        for key in self._sampled_s:
-            if key not in names:
-                names[key] = _key_source(key)
+        names = {k: _key_source(key) for k, key in self._keys.items()}
         profile.events_total = sum(self._counts.values())
         events_by_source: dict[str, int] = {}
-        for key, count in self._counts.items():
-            name = names[key]
+        for k, count in self._counts.items():
+            name = names[k]
             events_by_source[name] = events_by_source.get(name, 0) + count
         profile.events_by_source = events_by_source
         profile.sim_time_ps = sim_time_ps
@@ -366,14 +376,15 @@ class SimProfiler:
         profile.queue_pops_cancelled = self._cancelled
         profile.depth_timeline = self._depth_timeline
         profile.wall_sampled_events = self._sampled_events
+        wall_start = self._wall_start
         profile.meta_samples = [
-            (start_us, dur_us, names[key])
-            for start_us, dur_us, key in self._meta
+            ((started - wall_start) * 1e6, duration * 1e6, names[id(key)])
+            for started, duration, key in self._meta
         ]
         profile.meta_dropped = self._meta_dropped
         attributed: dict[str, float] = {}
-        for key, seconds in self._sampled_s.items():
-            name = names[key]
+        for k, seconds in self._sampled_s.items():
+            name = names[k]
             attributed[name] = (
                 attributed.get(name, 0.0) + seconds * self._sample_every
             )

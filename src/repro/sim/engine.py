@@ -72,18 +72,32 @@ class EventHandle:
     The handle *is* the queued event: the heap holds ``(time, seq,
     handle)`` tuples, so heap comparisons run in C on the unique
     ``(time, seq)`` prefix and never reach the handle.
+
+    An owner may *arm* a handle by setting ``repeat`` and ``period``:
+    while ``repeat`` is positive, reaching the head of the queue is a
+    *silent firing* — the kernel counts it as an executed event,
+    decrements ``repeat`` and re-queues the handle at ``time +
+    period`` under the next sequence number, exactly the push a
+    callback that rescheduled itself one period on would have made, but
+    without calling it.  Setting ``repeat`` back to 0 disarms the
+    handle: its pending entry then fires the callback as usual.
     """
 
-    __slots__ = ("time", "callback", "cancelled", "executed")
+    __slots__ = ("time", "callback", "cancelled", "executed", "repeat", "period")
 
     def __init__(self, time_ps: int, callback: Callable[[], None]):
-        #: Absolute firing time of the event, in picoseconds.
+        #: Absolute time the event was scheduled for, in picoseconds
+        #: (each silent firing moves the pending entry on by ``period``).
         self.time = time_ps
         self.callback = callback
         #: Whether :meth:`cancel` withdrew the event before it fired.
         self.cancelled = False
-        #: Whether the event already fired.
+        #: Whether the callback already fired.
         self.executed = False
+        #: Silent firings left before the callback runs (0: none).
+        self.repeat = 0
+        #: Picoseconds between silent firings (read while ``repeat > 0``).
+        self.period = 0
 
     def cancel(self) -> bool:
         """Prevent the event from firing.  Idempotent.
@@ -180,18 +194,23 @@ class Simulator:
 
         Stops when the queue is empty, when the next event lies after
         ``until_ps``, or once ``max_events`` events have fired; cancelled
-        events are discarded as they reach the head.  Returns the number
-        of events fired.  The loop's state lives in locals, and the call
-        branches once on whether a profiler is installed: the profiled
-        branch also keeps the profiler's run-length event ledger, with
-        its state hoisted into locals too, and wall-times every
-        ``wall_sample_every``-th callback.  Its per-event cost is what
+        events are discarded as they reach the head.  An armed handle
+        (``repeat > 0``) fires silently: it counts as an executed event
+        and is re-queued one ``period`` later under the next sequence
+        number, without a call (see :class:`EventHandle`).  Returns the
+        number of events fired.  The loop's state lives in locals, and
+        the call branches once on whether a profiler is installed: the
+        profiled branch also keeps the profiler's run-length event
+        ledger, with its state hoisted into locals too — silent firings
+        are ledgered under their callback's key — and wall-times every
+        ``wall_sample_every``-th event.  Its per-event cost is what
         ``benchmarks/bench_observer_overhead.py`` budgets.
         """
         if max_events is not None and max_events < 1:
             return 0
         queue = self._queue
         pop = heappop
+        push = heappush
         until = inf if until_ps is None else until_ps
         limit = -1 if max_events is None else max_events
         executed = 0
@@ -204,12 +223,17 @@ class Simulator:
                     if event.cancelled:
                         continue
                     if entry[0] > until:
-                        heappush(queue, entry)
+                        push(queue, entry)
                         break
                     self._now = entry[0]
-                    event.executed = True
                     executed += 1
-                    event.callback()
+                    if event.repeat:
+                        event.repeat -= 1
+                        push(queue, (entry[0] + event.period, self._seq, event))
+                        self._seq += 1
+                    else:
+                        event.executed = True
+                        event.callback()
                     if executed == limit:
                         break
             finally:
@@ -235,10 +259,9 @@ class Simulator:
                     cancelled += 1
                     continue
                 if entry[0] > until:
-                    heappush(queue, entry)
+                    push(queue, entry)
                     break
                 self._now = entry[0]
-                event.executed = True
                 executed += 1
                 try:
                     key = event.callback.__code__
@@ -249,16 +272,28 @@ class Simulator:
                         buf.append((last_key, executed - 1 - run_start))
                     last_key = key
                     run_start = executed - 1
-                if executed != mark:
-                    event.callback()
-                    continue
-                if executed == next_sample:
-                    next_sample += stride
-                    started = perf_counter()
-                    event.callback()
-                    after_event(key, started)
+                if event.repeat:
+                    event.repeat -= 1
+                    push(queue, (entry[0] + event.period, self._seq, event))
+                    self._seq += 1
+                    if executed != mark:
+                        continue
+                    if executed == next_sample:
+                        # A silent firing on a sample mark is a sample.
+                        next_sample += stride
+                        after_event(key, perf_counter())
                 else:
-                    event.callback()
+                    event.executed = True
+                    if executed != mark:
+                        event.callback()
+                        continue
+                    if executed == next_sample:
+                        next_sample += stride
+                        started = perf_counter()
+                        event.callback()
+                        after_event(key, started)
+                    else:
+                        event.callback()
                 if executed == limit:
                     break
                 mark = next_sample if limit < 0 else min(next_sample, limit)

@@ -23,10 +23,15 @@ into SRAM initialisation blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.xs1.errors import AssemblerError
 from repro.xs1.isa import INSTRUCTION_SET, Instruction, Operand
 from repro.xs1.registers import REGISTER_INDEX
+
+if TYPE_CHECKING:
+    from repro.xs1.executor import IssueRow
 
 
 @dataclass
@@ -41,6 +46,14 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    @cached_property
+    def issue_table(self) -> list[IssueRow]:
+        """One :func:`~repro.xs1.executor.decode` row per instruction,
+        indexed by ``pc``; built once, on first use."""
+        from repro.xs1.executor import decode
+
+        return [decode(instruction) for instruction in self.instructions]
 
     def entry(self, label: str = "start") -> int:
         """Instruction index of ``label`` (defaults to ``start``, else 0)."""

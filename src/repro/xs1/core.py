@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from repro.network.header import CHANEND_TYPE, ChanendAddress
-from repro.sim import Frequency, Simulator, TraceRecorder
+from repro.sim import EventHandle, Frequency, Simulator, TraceRecorder
 from repro.xs1.assembler import Program
 from repro.xs1.chanend import Chanend
 from repro.xs1.errors import ResourceError, TrapError
@@ -47,13 +48,32 @@ class CoreConfig:
     sram_bytes: int = 64 * 1024
 
 
+# Hot-path names for XCore._tick: a thread's next issue cycle (so the
+# ``min`` over the rotation runs in C) and the pipeline depth.
+_next_issue = attrgetter("next_issue_cycle")
+_DEPTH = HardwareThread.PIPELINE_DEPTH
+
+
 @dataclass
 class CoreStats:
     """Execution statistics used by the energy model and the benches."""
 
     instructions: Counter = field(default_factory=Counter)
     slots_issued: int = 0
-    slots_bubble: int = 0
+    #: Bubble slots counted so far *plus* the silent firings still due
+    #: on :attr:`armed_tick`; read :attr:`slots_bubble` instead.
+    bubbles_due: int = field(default=0, repr=False)
+    #: The core's pending tick while it fires silently through bubbles
+    #: (see :meth:`XCore._tick`), else None or a spent handle.
+    armed_tick: EventHandle | None = field(default=None, repr=False)
+
+    @property
+    def slots_bubble(self) -> int:
+        """Issue slots no thread could use, up to the latest event."""
+        armed = self.armed_tick
+        if armed is None:
+            return self.bubbles_due
+        return self.bubbles_due - armed.repeat
 
     @property
     def total_instructions(self) -> int:
@@ -125,6 +145,7 @@ class XCore:
         """
         for listener in self.frequency_listeners:
             listener(self)
+        self._disarm()
         self._cycle_anchor = self.cycle
         self._anchor_time = self.sim.now
         self._frequency = frequency
@@ -253,12 +274,14 @@ class XCore:
 
     def on_thread_runnable(self, thread: HardwareThread) -> None:
         """A thread became runnable; ensure the core is ticking."""
+        self._disarm()
         if thread not in self._rotation:
             self._rotation.append(thread)
         self._ensure_ticking()
 
     def on_thread_paused(self, thread: HardwareThread) -> None:
         """A thread paused; drop it from the issue rotation."""
+        self._disarm()
         try:
             self._rotation.remove(thread)
         except ValueError:
@@ -266,6 +289,7 @@ class XCore:
 
     def on_thread_halted(self, thread: HardwareThread) -> None:
         """A thread halted; drop it and fire completion callbacks."""
+        self._disarm()
         try:
             self._rotation.remove(thread)
         except ValueError:
@@ -279,6 +303,20 @@ class XCore:
         self._ticking = True
         self.sim.schedule_at(self._next_cycle_boundary(), self._tick)
 
+    def _disarm(self) -> None:
+        """Stop the pending tick's silent firings (the rotation changed).
+
+        The firings already made stay counted as bubbles; the pending
+        entry keeps its ``(time, seq)`` slot and now calls :meth:`_tick`,
+        which sees the change.
+        """
+        stats = self.stats
+        armed = stats.armed_tick
+        if armed is not None:
+            stats.bubbles_due -= armed.repeat
+            armed.repeat = 0
+            stats.armed_tick = None
+
     def _tick(self) -> None:
         """One clock edge: give the issue slot to the first eligible thread.
 
@@ -287,6 +325,15 @@ class XCore:
         :meth:`_ensure_ticking` would.  The edge is computed after the
         issue because the issuing thread may rescale the clock (a halt
         can trigger a DVFS step, which re-anchors it).
+
+        With fewer runnable threads than pipeline stages, the edges
+        before the first cycle at which a rotation thread may issue are
+        bubbles, and nothing but a change to the rotation or the clock
+        can make them otherwise.  So the tick arms the handle it just
+        scheduled to fire silently through them (see
+        :class:`~repro.sim.engine.EventHandle`); every thread
+        transition and :meth:`set_frequency` disarm it.  The heap sees
+        exactly the entries per-cycle ticking would push.
         """
         self._ticking = False
         rotation = self._rotation
@@ -295,32 +342,43 @@ class XCore:
         now = self.sim.now
         cycle = (self._cycle_anchor
                  + (now - self._anchor_time) // self._frequency.period_ps)
-        for _ in range(len(rotation)):
-            thread = rotation[0]
-            rotation.rotate(-1)
-            if thread.next_issue_cycle > cycle:
-                continue
+        skipped = 0
+        for thread in rotation:
+            if thread.next_issue_cycle <= cycle:
+                break
+            skipped += 1
+        else:
+            thread = None
+            self.stats.bubbles_due += 1
+        if thread is not None:
+            # The issuing thread goes to the back: round-robin order.
+            rotation.rotate(-1 - skipped)
             self.current_thread = thread
             try:
                 outcome = thread.step()
             finally:
                 self.current_thread = None
             if outcome is not StepOutcome.PAUSED:  # issued or retired-and-halted
-                thread.next_issue_cycle = cycle + HardwareThread.PIPELINE_DEPTH
+                thread.next_issue_cycle = cycle + _DEPTH
                 self.stats.slots_issued += 1
                 if self.tracer is not None:
                     self.tracer.record(now, self.name, "issue", thread.name)
-            break
-        else:
-            self.stats.slots_bubble += 1
         if self._ticking or not rotation:
             return
         self._ticking = True
         anchor = self._anchor_time
         period = self._frequency.period_ps
-        self.sim.schedule_at(
-            anchor + ((now - anchor) // period + 1) * period, self._tick
-        )
+        edges = (now - anchor) // period + 1
+        handle = self.sim.schedule_at(anchor + edges * period, self._tick)
+        if len(rotation) < _DEPTH:
+            # The next edge is cycle _cycle_anchor + edges.
+            bubbles = min(map(_next_issue, rotation)) - self._cycle_anchor - edges
+            if bubbles > 0:
+                handle.period = period
+                handle.repeat = bubbles
+                stats = self.stats
+                stats.bubbles_due += bubbles
+                stats.armed_tick = handle
 
     # ------------------------------------------------------------------
     # Resources

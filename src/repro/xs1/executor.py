@@ -1,10 +1,16 @@
 """Instruction execution semantics.
 
-``execute`` carries out one instruction on behalf of a thread occupying an
-issue slot.  Every instruction completes in that single slot (the XS1's
-fixed completion time) except communication/lock instructions, which may
-*pause* the thread; a paused instruction re-issues in full when the thread
-is woken, so handlers must be written to retry idempotently.
+One handler per mnemonic carries out an instruction on behalf of a thread
+occupying an issue slot.  Every instruction completes in that single slot
+(the XS1's fixed completion time) except communication/lock instructions,
+which may *pause* the thread; a paused instruction re-issues in full when
+the thread is woken, so handlers must be written to retry idempotently.
+
+:func:`decode` resolves an instruction to its ``(handler, args,
+energy_class)`` issue row once per program
+(:attr:`repro.xs1.assembler.Program.issue_table`); threads issue from
+those rows by ``pc`` and retire the instruction themselves
+(:meth:`repro.xs1.thread.IsaThread.step`).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from repro.xs1.isa import (
     RES_TYPE_CHANEND,
     RES_TYPE_LOCK,
     RES_TYPE_TIMER,
+    EnergyClass,
     Instruction,
 )
 from repro.xs1.registers import s32, u32
@@ -33,9 +40,8 @@ if TYPE_CHECKING:
 class StepOutcome(Enum):
     """Result of giving a thread one issue slot.
 
-    Defined here rather than in :mod:`repro.xs1.thread` (which re-exports
-    it) so the thread module can bind :func:`execute` at import time
-    without an import cycle.
+    Defined here, next to the handlers that return it;
+    :mod:`repro.xs1.thread` re-exports it.
     """
 
     ISSUED = "issued"      # an instruction issued; pc already updated
@@ -43,8 +49,13 @@ class StepOutcome(Enum):
     HALTED = "halted"      # the thread has finished
 
 
+_ISSUED = StepOutcome.ISSUED
+
 _Handler = Callable[["XCore", "IsaThread", tuple[int, ...]], StepOutcome]
 _HANDLERS: dict[str, _Handler] = {}
+
+#: One decoded instruction: what :meth:`IsaThread.step` issues.
+IssueRow = tuple[_Handler, tuple[int, ...], EnergyClass]
 
 
 def _handler(mnemonic: str) -> Callable[[_Handler], _Handler]:
@@ -55,21 +66,25 @@ def _handler(mnemonic: str) -> Callable[[_Handler], _Handler]:
     return register
 
 
-def execute(core: "XCore", thread: "IsaThread", instruction: Instruction) -> StepOutcome:
-    """Execute ``instruction`` for ``thread``; returns the slot outcome."""
+def decode(instruction: Instruction) -> IssueRow:
+    """The ``(handler, args, energy_class)`` row ``instruction`` issues as.
+
+    A mnemonic without a handler decodes to a row that traps when (and
+    only when) it issues.
+    """
     handler = _HANDLERS.get(instruction.mnemonic)
     if handler is None:
-        raise TrapError(f"{thread.name}: unimplemented mnemonic {instruction.mnemonic!r}")
-    outcome = handler(core, thread, instruction.args)
-    if outcome is not StepOutcome.PAUSED:  # issued or halting both retire
-        thread.instructions_executed += 1
-        core.count_instruction(instruction.energy_class)
-    return outcome
+        mnemonic = instruction.mnemonic
+
+        def handler(core, thread, args):
+            raise TrapError(f"{thread.name}: unimplemented mnemonic {mnemonic!r}")
+
+    return handler, instruction.args, instruction.energy_class
 
 
 def _advance(thread: "IsaThread") -> StepOutcome:
     thread.pc += 1
-    return StepOutcome.ISSUED
+    return _ISSUED
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +94,10 @@ def _advance(thread: "IsaThread") -> StepOutcome:
 def _binop(operation: Callable[[int, int], int]) -> _Handler:
     def run(core: "XCore", thread: "IsaThread", args: tuple[int, ...]) -> StepOutcome:
         rd, ra, rb = args
-        thread.regs.write(rd, operation(thread.regs.read(ra), thread.regs.read(rb)))
-        return _advance(thread)
+        regs = thread.regs
+        regs.write(rd, operation(regs.read(ra), regs.read(rb)))
+        thread.pc += 1
+        return _ISSUED
 
     return run
 
@@ -88,8 +105,10 @@ def _binop(operation: Callable[[int, int], int]) -> _Handler:
 def _binop_imm(operation: Callable[[int, int], int]) -> _Handler:
     def run(core: "XCore", thread: "IsaThread", args: tuple[int, ...]) -> StepOutcome:
         rd, ra, imm = args
-        thread.regs.write(rd, operation(thread.regs.read(ra), imm))
-        return _advance(thread)
+        regs = thread.regs
+        regs.write(rd, operation(regs.read(ra), imm))
+        thread.pc += 1
+        return _ISSUED
 
     return run
 
@@ -270,7 +289,7 @@ def _ldaw(core, thread, args):
 @_handler("bu")
 def _bu(core, thread, args):
     thread.pc = args[0]
-    return StepOutcome.ISSUED
+    return _ISSUED
 
 
 @_handler("bt")
@@ -278,8 +297,9 @@ def _bt(core, thread, args):
     rs, target = args
     if thread.regs.read(rs) != 0:
         thread.pc = target
-        return StepOutcome.ISSUED
-    return _advance(thread)
+    else:
+        thread.pc += 1
+    return _ISSUED
 
 
 @_handler("bf")
@@ -287,8 +307,9 @@ def _bf(core, thread, args):
     rs, target = args
     if thread.regs.read(rs) == 0:
         thread.pc = target
-        return StepOutcome.ISSUED
-    return _advance(thread)
+    else:
+        thread.pc += 1
+    return _ISSUED
 
 
 @_handler("bl")

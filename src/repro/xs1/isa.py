@@ -46,6 +46,11 @@ class EnergyClass(Enum):
     RESOURCE = "resource"
     NOP = "nop"
 
+    #: Members are singletons compared by identity, so hashing by
+    #: identity agrees with equality.  It runs in C; ``Enum``'s default
+    #: name hash runs in Python on every count of a retired instruction.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class InstructionSpec:

@@ -47,13 +47,15 @@ class RegisterFile:
 
     def read(self, index: int) -> int:
         """Read register ``index`` (always an unsigned 32-bit value)."""
-        self._check(index)
+        if not 0 <= index < NUM_REGISTERS:
+            raise TrapError(f"invalid register index {index}")
         return self._regs[index]
 
     def write(self, index: int, value: int) -> None:
         """Write ``value`` (wrapped to 32 bits) to register ``index``."""
-        self._check(index)
-        self._regs[index] = u32(value)
+        if not 0 <= index < NUM_REGISTERS:
+            raise TrapError(f"invalid register index {index}")
+        self._regs[index] = value & _MASK32
 
     def read_named(self, name: str) -> int:
         """Read a register by name, e.g. ``"r3"`` or ``"sp"``."""
@@ -66,8 +68,3 @@ class RegisterFile:
     def snapshot(self) -> dict[str, int]:
         """A name -> value mapping of the whole file (for debugging)."""
         return {REGISTER_NAME[i]: self._regs[i] for i in range(NUM_REGISTERS)}
-
-    @staticmethod
-    def _check(index: int) -> None:
-        if not 0 <= index < NUM_REGISTERS:
-            raise TrapError(f"invalid register index {index}")

@@ -19,12 +19,15 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.xs1.errors import TrapError
-from repro.xs1.executor import StepOutcome, execute
+from repro.xs1.executor import StepOutcome
 from repro.xs1.registers import RegisterFile
 
 if TYPE_CHECKING:
     from repro.xs1.assembler import Program
     from repro.xs1.core import XCore
+
+
+_PAUSED = StepOutcome.PAUSED
 
 
 class ThreadState(Enum):
@@ -154,6 +157,7 @@ class IsaThread(HardwareThread):
         super().__init__(core, tid, name)
         self.program = program
         self.pc = entry
+        self._table = program.issue_table
 
     def take_event(self, vector: int | None) -> None:
         """Dispatch to the event vector: the next issue starts there."""
@@ -174,11 +178,21 @@ class IsaThread(HardwareThread):
         return state
 
     def step(self) -> StepOutcome:
-        """Fetch and execute the instruction at ``pc``."""
-        if self.pc < 0 or self.pc >= len(self.program.instructions):
+        """Issue the instruction at ``pc`` from the program's issue table.
+
+        An instruction that did not pause retires: the thread counts it
+        and :meth:`XCore.count_instruction` books it for the energy model.
+        """
+        table = self._table
+        pc = self.pc
+        if not 0 <= pc < len(table):
             raise TrapError(
-                f"{self.name}: pc {self.pc} outside program "
-                f"{self.program.name!r} of {len(self.program.instructions)} instructions"
+                f"{self.name}: pc {pc} outside program "
+                f"{self.program.name!r} of {len(table)} instructions"
             )
-        instruction = self.program.instructions[self.pc]
-        return execute(self.core, self, instruction)
+        handler, args, energy_class = table[pc]
+        outcome = handler(self.core, self, args)
+        if outcome is not _PAUSED:  # issued or halting both retire
+            self.instructions_executed += 1
+            self.core.count_instruction(energy_class)
+        return outcome

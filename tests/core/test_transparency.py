@@ -72,6 +72,36 @@ class TestReport:
         assert report.total_energy_j == 0.0
 
 
+class TestMultiSliceReport:
+    def test_each_row_counts_its_own_core(self):
+        """Rows read per-node sums over several energy classes."""
+        from repro.xs1.behavioral import Compute
+        from repro.xs1.isa import EnergyClass
+
+        def multiply(count):
+            yield Compute(count, EnergyClass.MUL)
+
+        system = SwallowSystem(slices_x=2)
+        for index, core in enumerate(system.cores):
+            if index % 3:
+                system.spawn(core, assemble(f"""
+                    ldc r0, {index + 1}
+                loop:
+                    subi r0, r0, 1
+                    bt r0, loop
+                    freet
+                """))
+            if index % 4 == 0:
+                system.spawn_task(core, multiply(index + 5))
+        system.run()
+        report = system.energy_report()
+        assert [row.node_id for row in report.cores] == \
+            [core.node_id for core in system.cores]
+        for row, core in zip(report.cores, system.cores):
+            assert row.instructions == core.stats.total_instructions
+        assert any(len(core.stats.instructions) > 2 for core in system.cores)
+
+
 class TestSerialisation:
     def test_to_dict_roundtrips_through_json(self):
         import json

@@ -1,21 +1,25 @@
 """Differential property tests of the event kernel.
 
-Seeded random programs of schedules, nested schedules, cancels
-(including cancels of events that already fired) and
+Seeded random programs of schedules, nested schedules, armed handles
+(random ``repeat`` and ``period``, disarmed or cancelled while armed),
+cancels (including cancels of events that already fired) and
 ``next_event_time`` peeks run through every way of driving the
 :class:`~repro.sim.engine.Simulator`: ``run()``, chunked
 ``run(max_events=k)``, ``run_until`` slices and a ``step()`` loop, each
 without a profiler and under ``sim.profile()`` at two sampling strides.  Every drive must match a
 small reference kernel, defined here, that keeps the straightforward
 heap of ``dataclass(order=True)`` entries drained one ``step()`` at a
-time: the same firing order, the same ``now`` at every firing, and the
-same ``events_processed``, sequence counter and queue high-water mark.
+time, and re-queues an armed handle with an ordinary callback that
+reschedules itself: the same firing order, the same ``now`` at every
+firing, and the same ``events_processed``, sequence counter, queue
+high-water mark and cancelled pops.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from hypothesis import given, settings
@@ -83,31 +87,74 @@ class ReferenceKernel:
         while self.step():
             pass
 
+    def schedule_armed(self, delay_ps: int, callback: Callable[[], None],
+                       repeat: int, period: int) -> "_RefArmed":
+        return _RefArmed(self, delay_ps, callback, repeat, period)
+
+
+class _RefArmed:
+    """An armed handle in the reference: a callback that reschedules
+    itself ``period`` later until ``repeat`` runs out, then calls."""
+
+    def __init__(self, kernel: ReferenceKernel, delay_ps: int,
+                 callback: Callable[[], None], repeat: int, period: int) -> None:
+        self.kernel = kernel
+        self.callback = callback
+        self.repeat = repeat
+        self.period = period
+        self.event = kernel.schedule(delay_ps, self._fire)
+
+    def _fire(self) -> None:
+        if self.repeat:
+            self.repeat -= 1
+            self.event = self.kernel.schedule(self.period, self._fire)
+        else:
+            self.callback()
+
+    def cancel(self) -> bool:
+        return self.event.cancel()
+
+
+def _schedule_armed(sim: Simulator, delay_ps: int, callback: Callable[[], None],
+                    repeat: int, period: int):
+    handle = sim.schedule(delay_ps, callback)
+    handle.repeat = repeat
+    handle.period = period
+    return handle
+
 
 # A program is a list of actions run before the kernel starts; a
 # scheduled event runs its own list of actions when it fires.
 #   ("sched", delay_ps, actions)   schedule a (possibly nested) event
+#   ("arm", delay_ps, repeat, period, actions)
+#                                  the same, armed: it fires silently
+#                                  ``repeat`` times, ``period`` apart, first
 #   ("cancel", index)              cancel the index-th event scheduled so far
+#   ("disarm", index)              set the index-th event's repeat to 0
 #   ("peek",)                      record next_event_time()
 _leaf = st.one_of(
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("disarm"), st.integers(min_value=0, max_value=63)),
     st.tuples(st.just("peek")),
 )
+_delays = st.integers(min_value=0, max_value=12)
+
+
+def _scheduling(children):
+    return st.one_of(
+        st.tuples(st.just("sched"), _delays, children),
+        st.tuples(st.just("arm"), _delays, st.integers(min_value=1, max_value=4),
+                  st.integers(min_value=0, max_value=5), children),
+    )
+
+
 actions = st.recursive(
     st.lists(_leaf, max_size=3),
-    lambda children: st.lists(
-        st.one_of(
-            _leaf,
-            st.tuples(st.just("sched"), st.integers(min_value=0, max_value=12),
-                      children),
-        ),
-        max_size=5,
-    ),
+    lambda children: st.lists(st.one_of(_leaf, _scheduling(children)), max_size=5),
     max_leaves=40,
 )
 programs = st.tuples(
-    st.lists(st.tuples(st.just("sched"), st.integers(min_value=0, max_value=12),
-                       actions), min_size=1, max_size=8),
+    st.lists(_scheduling(actions), min_size=1, max_size=8),
     st.lists(_leaf, max_size=3),
 )
 
@@ -118,22 +165,30 @@ def play(program, kernel) -> list[tuple]:
     log: list[tuple] = []
     handles: list = []
     counter = iter(range(1 << 30))
+    schedule_armed = (kernel.schedule_armed if isinstance(kernel, ReferenceKernel)
+                      else partial(_schedule_armed, kernel))
 
     def perform(action_list) -> None:
         for action in action_list:
-            if action[0] == "sched":
-                _, delay, children = action
+            if action[0] in ("sched", "arm"):
+                delay, children = action[1], action[-1]
                 ident = next(counter)
 
                 def fire(ident=ident, children=children) -> None:
                     log.append(("fire", ident, kernel.now))
                     perform(children)
 
-                handles.append(kernel.schedule(delay, fire))
+                if action[0] == "sched":
+                    handles.append(kernel.schedule(delay, fire))
+                else:
+                    handles.append(schedule_armed(delay, fire, action[2], action[3]))
             elif action[0] == "cancel":
                 if handles:
                     index = action[1] % len(handles)
                     log.append(("cancel", index, handles[index].cancel()))
+            elif action[0] == "disarm":
+                if handles:
+                    handles[action[1] % len(handles)].repeat = 0
             else:
                 log.append(("peek", kernel.next_event_time()))
 
@@ -182,6 +237,9 @@ def test_every_drive_matches_the_reference_kernel(program, chunk):
                 with sim.profile(wall_sample_every=stride) as profile:
                     drive(sim, chunk)
                 assert profile.events_total == reference.events_processed
+                # Silent firings are ledgered under their callback's key,
+                # and one on a sample mark still counts as a sample.
+                assert set(profile.events_by_source) <= {"play.perform.fire"}
                 assert profile.wall_sampled_events == \
                     reference.events_processed // stride
                 assert profile.queue_pops_cancelled == \

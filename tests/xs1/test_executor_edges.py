@@ -135,6 +135,18 @@ class TestControlEdges:
         with pytest.raises(TrapError, match="control token"):
             sim.run()
 
+    def test_unimplemented_mnemonic_traps_when_it_issues(self, sim, core):
+        from repro.xs1.isa import EnergyClass, Instruction, InstructionSpec
+
+        program = assemble("ldc r0, 7\nnop\nfreet")
+        bogus = InstructionSpec("bogus", (), EnergyClass.NOP, "no handler")
+        program.instructions[1] = Instruction(bogus)
+        thread = core.spawn(program)       # decoding the program does not trap
+        with pytest.raises(TrapError, match="unimplemented mnemonic 'bogus'"):
+            sim.run()
+        assert thread.instructions_executed == 1
+        assert thread.regs.read_named("r0") == 7
+
 
 class TestCliIsa:
     def test_isa_listing(self, capsys):
