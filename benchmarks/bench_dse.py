@@ -19,7 +19,6 @@ from repro.dse import (
 #: The bench's sweep: every topology variant at two DVFS points.
 SWEEP = {
     "workload": "demo",
-    "base": {"messages": 3},
     "sweep": {
         "topology": ["lattice", "mesh", "torus"],
         "freq_mhz": [500, 250],

@@ -46,7 +46,6 @@ from repro.dse.report import render as render_report
 
 SPEC = SweepSpec(
     workload="demo",
-    base={"messages": 4},
     sweep={
         "topology": ["lattice", "mesh", "torus"],
         "freq_mhz": [500, 250],

@@ -4,37 +4,19 @@ Commands:
 
 * ``info``   — system inventory of a configured machine;
 * ``tables`` — print the paper's derived tables (I, II, III, Fig. 2);
-* ``demo``   — run the quickstart workload and print the energy report
-  (``--json`` for machine-readable output, ``--seed`` to vary the
-  workload deterministically);
-* ``stats``  — run the demo workload and print the metrics snapshot
-  plus a kernel profile (events by source, sim/wall ratio);
-* ``trace``  — run the demo workload with machine-wide tracing and
-  export it as Chrome trace-event JSON (Perfetto/chrome://tracing)
-  or JSONL;
-* ``faults`` — run a reliable word stream under a fault campaign
-  (default: a flaky link on the stream's route; ``--spec FILE`` for a
-  JSON campaign) and print the campaign report (``--metrics-out`` dumps
-  the final metrics snapshot as JSON); ``--checkpoint-every N`` captures
-  checkpoint bundles as it runs and ``--kill-after-events N`` simulates
-  a crash (exit code 75) that ``resume`` can continue from;
-* ``netscope`` — run a workload under the fabric observatory and
-  export its views: the spatial heat map (canonical JSON + ``--ascii``
-  overlay), Chrome counter tracks for Perfetto, and the slice-cut
-  report; with ``--checkpoint-dir`` a non-empty store is resumed, and
-  the resumed run's exports are byte-identical to an uninterrupted
-  run's (``topology --heat`` draws the same overlay for the demo
-  workload);
-* ``checkpoint`` — run a registered workload partway and write a
-  versioned, checksummed checkpoint bundle;
-* ``resume`` — rebuild a run from a bundle (or the newest bundle in a
-  ``--dir`` store), replay and verify it, and drive it to completion —
-  byte-identically to a run that was never interrupted;
-* ``spans`` — run a span-instrumented three-stage pipeline and export
-  the causal span tree (span JSONL, or a Chrome trace with cross-core
-  flow arrows);
-* ``energy-report`` — run the same pipeline and print the per-span
-  energy attribution (``--folded`` writes flame-graph folded stacks);
+* ``isa``    — list the implemented instruction set;
+* ``figures`` — export every paper figure's data series as CSV;
+* ``topology`` — draw the lattice;
+* ``run WORKLOAD`` — run a registered workload (see
+  :data:`repro.checkpoint.WORKLOADS`; ``--params`` JSON sets its
+  params) on one resumable-run loop and print its time and energy.
+  ``--out DIR`` receives fixed-name exports: ``report.json`` (the final
+  report plus the recovery record), the netscope views when
+  ``"netscope": true``, the span exports for a span workload, and the
+  ``--observe trace,profile`` and ``--heartbeat-every`` outputs.
+  ``--checkpoint-every``/``--checkpoint-dir`` capture bundles, a
+  ``--checkpoint-dir`` that already holds bundles is resumed, and
+  ``--kill-after-events`` simulates a crash (exit code 75);
 * ``farm`` — the campaign farm: ``submit`` expands a matrix spec
   (sweep over topology x frequency x seeds) into content-addressed
   jobs, ``run`` fans them out across worker processes with per-job
@@ -43,16 +25,14 @@ Commands:
   shows the live heartbeat-fed progress view, and ``report`` prints
   the aggregated campaign (unchanged configs are served from the
   result cache instead of re-simulating);
+* ``dse`` — design-space exploration sweeps through the farm and
+  their Pareto fronts;
+* ``policies`` — the scheduler/DVFS policy-zoo ablation;
 * ``perf`` — the kernel performance observatory: ``record`` appends
   bench-profile rows to the append-only perf-history ledger,
   ``compare`` gates current numbers against the ledger's rolling
   baselines (non-zero exit on regression), ``report`` prints the
   per-bench trajectory.
-
-``demo``, ``faults`` and ``resume`` accept ``--heartbeat-every N``
-(with ``--heartbeat-out PATH``) to stream JSONL progress snapshots
-every N kernel events — byte-identical across same-seed runs except
-for the wall-clock fields.
 """
 
 from __future__ import annotations
@@ -61,6 +41,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
+
+from repro.checkpoint.resume import EXIT_KILLED
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -132,26 +115,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
-    from repro.network.visualize import (
-        render_heat,
-        render_summary,
-        render_topology,
-    )
-
-    if args.heat:
-        # Heat wants traffic: run the demo workload on a full system
-        # with the fabric observatory attached, then overlay its map.
-        from repro import SwallowSystem
-
-        system = SwallowSystem(slices_x=args.slices_x, slices_y=args.slices_y)
-        scope = system.netscope(window_ps=int(args.window_us * 1e6))
-        _demo_workload(system, seed=args.seed)
-        system.run()
-        print(render_heat(system.topology, scope.heatmap()))
-        print()
-        print(render_summary(system.topology))
-        return 0
     from repro.network.topology import SwallowTopology
+    from repro.network.visualize import render_summary, render_topology
     from repro.sim import Simulator
 
     topology = SwallowTopology(
@@ -163,290 +128,36 @@ def cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_workload(system, seed: int | None = None) -> list[int]:
-    """Load the quickstart workload onto ``system``; returns the RX list.
-
-    ``seed`` deterministically varies the workload (loop counts, number
-    of streamed words, payload values) so scripted runs can explore more
-    than one schedule; ``None`` keeps the historical fixed demo.
-    """
-    import random
-
-    from repro import Compute, RecvWord, SendWord, assemble
-
-    if seed is None:
-        loop_count, words, payload = 1000, 4, lambda i: i * i
-    else:
-        rng = random.Random(seed)
-        loop_count = rng.randrange(200, 2000)
-        words = rng.randrange(2, 9)
-        values = [rng.randrange(0, 1 << 16) for _ in range(words)]
-        payload = lambda i: values[i]
-    system.spawn(system.core(0), assemble(f"""
-        ldc r0, {loop_count}
-    loop:
-        subi r0, r0, 1
-        bt r0, loop
-        freet
-    """))
-    channel = system.channel(system.core(1), system.core(10))
-    received: list[int] = []
-
-    def producer():
-        for i in range(words):
-            yield Compute(100)
-            yield SendWord(channel.a, payload(i))
-
-    def consumer():
-        for _ in range(words):
-            received.append((yield RecvWord(channel.b)))
-
-    system.spawn_task(system.core(1), producer())
-    system.spawn_task(system.core(10), consumer())
-    return received
+#: Checkpoints kept in a run's retained set and in its bundle store.
+RETAIN = 3
+#: ``--observe profile`` wall-times one kernel event in this many.
+PROFILE_SAMPLE_EVERY = 4
+#: What ``--observe`` attaches.
+OBSERVERS = ("trace", "profile")
 
 
-def _heartbeat(args: argparse.Namespace, metrics=None):
-    """A RunHeartbeat from the shared --heartbeat-* flags (or None)."""
-    from repro.obs.perf import RunHeartbeat
-
-    if args.heartbeat_every is None:
-        return None
-    return RunHeartbeat(args.heartbeat_every, out=args.heartbeat_out,
-                        metrics=metrics)
-
-
-def _heartbeat_summary(args: argparse.Namespace, heartbeat) -> None:
-    """The shared post-run heartbeat summary line.
-
-    One line, one place: every command that takes the ``--heartbeat-*``
-    flags reports the stream the same way (suppressed under ``--json``,
-    where stdout is machine-readable).
-    """
-    if heartbeat is None or not args.heartbeat_out:
-        return
-    if getattr(args, "json", False):
-        return
-    print(f"wrote {heartbeat.beats} heartbeats to {args.heartbeat_out}")
-
-
-def _add_heartbeat_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--heartbeat-every", type=_positive_int,
-                        default=None, metavar="N",
-                        help="emit a JSONL progress snapshot every N "
-                             "kernel events")
-    parser.add_argument("--heartbeat-out", default=None, metavar="PATH",
-                        help="heartbeat JSONL output file "
-                             "(default: stderr summary only)")
-
-
-def cmd_demo(args: argparse.Namespace) -> int:
-    from repro import SwallowSystem
-
-    system = SwallowSystem()
-    received = _demo_workload(system, seed=args.seed)
-    heartbeat = _heartbeat(args, metrics=system.metrics)
-    if heartbeat is not None:
-        heartbeat.drive(system.sim)
-        _heartbeat_summary(args, heartbeat)
-    else:
-        system.run()
-    report = system.energy_report()
-    if args.json:
-        document = {
-            "seed": args.seed,
-            "received": received,
-            "report": report.to_dict(),
-        }
-        print(json.dumps(document, sort_keys=True))
-        return 0
-    print(f"streamed words: {received}")
-    print(report.render())
-    return 0
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    from repro import SwallowSystem
-
-    system = SwallowSystem(slices_x=args.slices_x, slices_y=args.slices_y)
-    _demo_workload(system, seed=args.seed)
-    with system.profile(wall_sample_every=args.sample_every) as profile:
-        system.run()
-    snapshot = system.metrics_snapshot()
-    if args.folded:
-        with open(args.folded, "w", encoding="utf-8") as handle:
-            handle.write(profile.folded())
-    if args.meta_trace:
-        from repro.obs import write_profile_chrome_trace
-
-        write_profile_chrome_trace(profile, args.meta_trace)
-    if args.json:
-        print(json.dumps(
-            {"profile": profile.to_dict(), "metrics": snapshot.as_dict()},
-            sort_keys=True,
-        ))
-        return 0
-    print(profile.render())
-    print()
-    print(snapshot.render(prefix=args.prefix))
-    if args.folded:
-        print(f"wrote folded flame stacks to {args.folded}")
-    if args.meta_trace:
-        print(f"wrote simulator meta-trace to {args.meta_trace}")
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    from repro import SwallowSystem
-    from repro.obs import write_chrome_trace, write_jsonl
-
-    system = SwallowSystem(slices_x=args.slices_x, slices_y=args.slices_y)
-    kinds = None
-    if args.kinds:
-        kinds = {k for arg in args.kinds for k in arg.split(",") if k}
-    recorder = system.trace(kinds=kinds, capacity=args.capacity)
-    _demo_workload(system, seed=args.seed)
-    system.run()
-    if args.format == "chrome":
-        write_chrome_trace(recorder.records, args.out)
-    else:
-        write_jsonl(recorder.records, args.out)
-    print(f"wrote {len(recorder)} records to {args.out} "
-          f"({args.format}); recorder {recorder!r}")
-    return 0
-
-
-#: Exit code of a run interrupted by ``--kill-after-events`` (EX_TEMPFAIL:
-#: the run is resumable from its checkpoint store, not failed).
-EXIT_KILLED = 75
-
-
-def _stream_params(args: argparse.Namespace) -> dict:
-    """The ``faults_stream`` workload params encoded by the CLI flags."""
-    params: dict = {
-        "slices_x": args.slices_x,
-        "slices_y": args.slices_y,
-        "words": args.words,
-        "drop_rate": args.drop_rate,
-    }
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.spec:
-        with open(args.spec) as handle:
-            spec = json.load(handle)
-        params["faults"] = spec.get("faults", [])
-        params["heal"] = spec.get("heal", True)
-        if args.seed is None and "seed" in spec:
-            params["seed"] = spec["seed"]
-    return params
-
-
-def _checkpoint_run(args: argparse.Namespace, workload: str, params: dict):
-    """Build a :class:`ResumableRun` from the shared checkpoint flags."""
-    from repro.checkpoint import CheckpointPolicy, CheckpointStore, ResumableRun
-
-    policy = None
-    if args.checkpoint_every is not None:
-        policy = CheckpointPolicy(
-            every_events=args.checkpoint_every, retain=args.retain
+def _observers(text: str) -> frozenset:
+    """Argparse type for ``--observe``: comma-separated OBSERVERS."""
+    names = frozenset(name for name in text.split(",") if name)
+    unknown = sorted(names - set(OBSERVERS))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown observer(s) {', '.join(unknown)}; "
+            f"choose from {', '.join(OBSERVERS)}"
         )
-    store = None
-    if args.checkpoint_dir:
-        store = CheckpointStore(args.checkpoint_dir, retain=args.retain)
-    return ResumableRun(workload, params, policy=policy, store=store)
+    return names
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
-    params = _stream_params(args)
-    run = _checkpoint_run(args, "faults_stream", params)
-    heartbeat = _heartbeat(args, metrics=run.context.system.metrics)
-    recovery = run.run(kill_after_events=args.kill_after_events,
-                       heartbeat=heartbeat)
-    context = run.context
-    report = context.campaign.report()
-    if args.metrics_out:
-        snapshot = context.system.metrics_snapshot()
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(snapshot.as_dict(), sort_keys=True))
-        print(f"wrote metrics snapshot to {args.metrics_out}")
-    _heartbeat_summary(args, heartbeat)
-    delivered_ok = context.received == context.expected
-    if args.json:
-        document = {"delivered_ok": delivered_ok, "report": report.to_dict()}
-        if args.checkpoint_every is not None or run.killed:
-            document["recovery"] = recovery.to_dict()
-        print(json.dumps(document, sort_keys=True))
-    else:
-        print(report.render())
-        print(f"stream: {len(context.received)}/{args.words} words "
-              f"delivered, {'intact' if delivered_ok else 'CORRUPTED'}")
-        if run.killed:
-            print(f"killed after {args.kill_after_events} events; resume "
-                  f"with: python -m repro resume --dir {args.checkpoint_dir}")
-    if run.killed:
-        return EXIT_KILLED
-    return 0 if delivered_ok else 1
+def _compact_json(document) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
-def cmd_netscope(args: argparse.Namespace) -> int:
-    """Run a workload under the fabric observatory; export its views.
+def _print_netscope(system, heatmap: dict) -> None:
+    """The heat overlay and blocked-time summary of a netscope run."""
+    from repro.network.visualize import render_heat
 
-    Resumable: with ``--checkpoint-dir``, a store that already holds
-    bundles is resumed instead of started fresh, and the exported
-    heat map is byte-identical to an uninterrupted run's.
-    """
-    from repro.checkpoint import CheckpointStore, ResumableRun
-
-    params = _stream_params(args)
-    params["netscope"] = True
-    params["netscope_window_us"] = args.window_us
-    resumed_from = None
-    store = None
-    if args.checkpoint_dir:
-        store = CheckpointStore(args.checkpoint_dir, retain=args.retain)
-        if store.paths():
-            resumed_from = str(store.paths()[-1])
-    if resumed_from is not None:
-        from repro.checkpoint import CheckpointPolicy
-
-        policy = None
-        if args.checkpoint_every is not None:
-            policy = CheckpointPolicy(
-                every_events=args.checkpoint_every, retain=args.retain
-            )
-        run = ResumableRun.resume(store.latest(), policy=policy, store=store)
-    else:
-        run = _checkpoint_run(args, args.workload, params)
-    run.run(kill_after_events=args.kill_after_events)
-    context = run.context
-    scope = context.system.topology.fabric.netscope
-    heatmap = scope.heatmap()
-    if args.heatmap_out:
-        with open(args.heatmap_out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(heatmap, sort_keys=True,
-                                    separators=(",", ":")))
-    if args.counters_out:
-        document = {"displayTimeUnit": "ns",
-                    "traceEvents": scope.counter_events()}
-        with open(args.counters_out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(document, sort_keys=True,
-                                    separators=(",", ":")))
-    if args.slice_cut_out:
-        with open(args.slice_cut_out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(scope.slice_cut(), sort_keys=True,
-                                    separators=(",", ":")))
-    if args.json:
-        print(json.dumps({"heatmap": heatmap}, sort_keys=True))
-        if run.killed:
-            return EXIT_KILLED
-        return 0
-    if resumed_from is not None:
-        print(f"resumed from {resumed_from}")
-    if args.ascii:
-        from repro.network.visualize import render_heat
-
-        print(render_heat(context.system.topology, heatmap))
-        print()
+    print(render_heat(system.topology, heatmap))
+    print()
     blocked = heatmap["blocked"]
     print(f"netscope: {heatmap['windows']} windows of "
           f"{heatmap['window_ps'] / 1e6:.3f} us over "
@@ -460,174 +171,137 @@ def cmd_netscope(args: argparse.Namespace) -> int:
     if cut["boundaries"]:
         print(f"  slice-cut min gap {cut['min_gap_ps']} ps over "
               f"{len(cut['boundaries'])} boundary(ies)")
-    for flag, path in (("heat map", args.heatmap_out),
-                       ("counter tracks", args.counters_out),
-                       ("slice-cut report", args.slice_cut_out)):
-        if path:
-            print(f"wrote {flag} to {path}")
-    if run.killed:
-        print(f"killed after {args.kill_after_events} events; rerun the "
-              f"same command to resume from {args.checkpoint_dir}")
-        return EXIT_KILLED
-    return 0
 
 
-def cmd_checkpoint(args: argparse.Namespace) -> int:
-    """Run a registered workload partway and write a checkpoint bundle."""
-    from repro.checkpoint import build_workload
-
-    params = json.loads(args.params) if args.params else {}
-    context = build_workload(args.workload, params)
-    sim = context.system.sim
-    if args.after_events is not None:
-        sim.run(max_events=args.after_events)
-    else:
-        sim.run()
-    snapshot = context.capture(
-        setup={"workload": args.workload, "params": params}
-    )
-    snapshot.save(args.out)
-    print(f"wrote checkpoint bundle to {args.out}")
-    print(f"  workload          {args.workload}")
-    print(f"  schema            {snapshot.schema}")
-    print(f"  events processed  {snapshot.events_processed}")
-    print(f"  sim time          {snapshot.time_ps / 1e6:.3f} us")
-    print(f"  digest            {snapshot.digest}")
-    return 0
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    """Resume a checkpointed run and drive it to completion."""
+def cmd_run(args: argparse.Namespace) -> int:
+    """Run one registered workload; print and export what it observed."""
     from repro.checkpoint import (
+        CheckpointError,
         CheckpointPolicy,
         CheckpointStore,
         ResumableRun,
-        Snapshot,
     )
+    from repro.obs.perf import RunHeartbeat
 
-    if args.bundle:
-        snapshot = Snapshot.load(args.bundle)
-        origin = args.bundle
-    elif args.dir:
-        store = CheckpointStore(args.dir, retain=args.retain)
-        snapshot = store.latest()
-        origin = str(store.paths()[-1])
-    else:
-        print("resume: need a bundle path or --dir", file=sys.stderr)
+    try:
+        params = json.loads(args.params)
+    except json.JSONDecodeError as err:
+        print(f"run: --params is not JSON: {err}", file=sys.stderr)
+        return 2
+    if not isinstance(params, dict):
+        print("run: --params must be a JSON object", file=sys.stderr)
         return 2
     policy = None
     if args.checkpoint_every is not None:
-        policy = CheckpointPolicy(
-            every_events=args.checkpoint_every, retain=args.retain
-        )
-    run = ResumableRun.resume(snapshot, policy=policy)
-    heartbeat = _heartbeat(args, metrics=run.context.system.metrics)
-    recovery = run.run(heartbeat=heartbeat)
-    _heartbeat_summary(args, heartbeat)
+        policy = CheckpointPolicy(every_events=args.checkpoint_every,
+                                  retain=RETAIN)
+    store = None
+    if args.checkpoint_dir:
+        store = CheckpointStore(args.checkpoint_dir, retain=RETAIN)
+    try:
+        run = ResumableRun.open(args.workload, params, policy=policy,
+                                store=store)
+    except CheckpointError as err:
+        print(f"run: {err}", file=sys.stderr)
+        return 2
+    system = run.context.system
+    if run.resumed_from is not None:
+        print(f"resumed from {run.resumed_from} "
+              f"(@ {system.sim.events_processed} events, verified)")
+    written: list[str] = []
+
+    def write(name: str, text: str) -> None:
+        path = os.path.join(args.out, name)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        written.append(path)
+
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    tracer = system.trace() if "trace" in args.observe else None
+    heartbeat = None
+    beats_path = os.path.join(args.out, "heartbeat.jsonl") if args.out else None
+    if args.heartbeat_every is not None:
+        heartbeat = RunHeartbeat(args.heartbeat_every, out=beats_path,
+                                 metrics=system.metrics)
+    profiling = (
+        system.profile(wall_sample_every=PROFILE_SAMPLE_EVERY)
+        if "profile" in args.observe else nullcontext()
+    )
+    with profiling as profile:
+        recovery = run.run(kill_after_events=args.kill_after_events,
+                           heartbeat=heartbeat)
+    if heartbeat is not None and beats_path:
+        written.append(beats_path)
+    if run.killed:
+        for path in written:
+            print(f"wrote {path}")
+        resume_note = (f"; rerun the same command to resume from "
+                       f"{args.checkpoint_dir}" if args.checkpoint_dir else "")
+        print(f"killed after {args.kill_after_events} events{resume_note}")
+        return EXIT_KILLED
+
+    context = run.context
+    system = context.system
+    # The final report comes first: attributing energy to spans changes
+    # the system state whose digest the report records.
     document = run.final_report()
     document["recovery"] = recovery.to_dict()
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(document, sort_keys=True))
-    if args.json:
-        print(json.dumps(document, sort_keys=True))
-        return 0
-    print(f"resumed from {origin} "
-          f"(@ {snapshot.events_processed} events, verified)")
+    recorder = system.span_recorder
+    attribution = system.energy_attribution() if recorder else None
+    scope = system.topology.fabric.netscope
+    heatmap = scope.heatmap() if scope is not None else None
+    if args.out:
+        from repro.obs.trace_export import (
+            chrome_trace_json,
+            profile_chrome_trace,
+        )
+
+        write("report.json", json.dumps(document, sort_keys=True))
+        if attribution is not None:
+            write("spans.jsonl", recorder.to_jsonl())
+            write("energy.folded", attribution.folded())
+            write("attribution.json",
+                  json.dumps(attribution.to_dict(), sort_keys=True) + "\n")
+        if heatmap is not None:
+            write("heatmap.json", _compact_json(heatmap))
+            write("counters.json", _compact_json({
+                "displayTimeUnit": "ns",
+                "traceEvents": scope.counter_events(),
+            }))
+            write("slice_cut.json", _compact_json(scope.slice_cut()))
+        if tracer is not None:
+            write("trace.json", chrome_trace_json(
+                tracer.records, spans=recorder, netscope=scope))
+        if profile is not None:
+            write("profile.folded", profile.folded())
+            write("meta_trace.json",
+                  _compact_json(profile_chrome_trace(profile)))
+
+    if context.campaign is not None:
+        print(context.campaign.report().render())
+    if context.expected:
+        print(f"stream: {len(context.received)}/{len(context.expected)} "
+              f"words delivered, "
+              f"{'intact' if document['delivered_ok'] else 'CORRUPTED'}")
+    elif context.received:
+        print(f"streamed words: {context.received}")
+    print(system.energy_report().render())
+    if attribution is not None:
+        print(recorder.render())
+        print(attribution.render())
+    if heatmap is not None:
+        _print_netscope(system, heatmap)
+    if profile is not None:
+        print(profile.render())
+        print()
+        print(system.metrics_snapshot().render())
+    if tracer is not None:
+        print(f"recorded {len(tracer)} trace records; {tracer!r}")
     print(recovery.render())
-    if args.report_out:
-        print(f"wrote final report to {args.report_out}")
-    return 0
-
-
-def _span_workload(system, seed: int | None = None):
-    """Load a span-instrumented three-stage pipeline onto ``system``.
-
-    Producer → relay → consumer across three cores, every stage under
-    its own child span of one ``pipeline`` root.  Returns
-    ``(recorder, root_span, received)``; the caller closes the root
-    after :meth:`SwallowSystem.run`.
-    """
-    import random
-
-    from repro import Compute, RecvWord, SendWord
-
-    recorder = system.spans()
-    root = recorder.span("pipeline")
-    root.begin(system.sim.now)
-    if seed is None:
-        words, cost = 6, 120
-    else:
-        rng = random.Random(seed)
-        words = rng.randrange(3, 10)
-        cost = rng.randrange(60, 260)
-    first = system.channel(system.core(0), system.core(1))
-    second = system.channel(system.core(1), system.core(10))
-    received: list[int] = []
-
-    def producer():
-        for i in range(words):
-            yield Compute(cost)
-            yield SendWord(first.a, i * 3 + 1)
-
-    def relay():
-        for _ in range(words):
-            value = yield RecvWord(first.b)
-            yield Compute(cost // 2)
-            yield SendWord(second.a, value * 2)
-
-    def consumer():
-        for _ in range(words):
-            received.append((yield RecvWord(second.b)))
-
-    system.spawn_task(system.core(0), producer(), name="produce",
-                      span=root.child("produce"))
-    system.spawn_task(system.core(1), relay(), name="relay",
-                      span=root.child("relay"))
-    system.spawn_task(system.core(10), consumer(), name="consume",
-                      span=root.child("consume"))
-    return recorder, root, received
-
-
-def cmd_spans(args: argparse.Namespace) -> int:
-    from repro import SwallowSystem
-    from repro.obs import write_chrome_trace
-
-    system = SwallowSystem(slices_x=args.slices_x, slices_y=args.slices_y)
-    tracer = system.trace() if args.format == "chrome" else None
-    recorder, root, received = _span_workload(system, seed=args.seed)
-    system.run()
-    root.finish(system.sim.now)
-    if args.format == "chrome":
-        write_chrome_trace(tracer.records, args.out, spans=recorder)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(recorder.to_jsonl())
-    print(recorder.render())
-    print(f"pipeline delivered {len(received)} words; wrote "
-          f"{len(recorder.spans)} spans / {len(recorder.messages)} messages "
-          f"to {args.out} ({args.format})")
-    return 0
-
-
-def cmd_energy_report(args: argparse.Namespace) -> int:
-    from repro import SwallowSystem
-
-    system = SwallowSystem(slices_x=args.slices_x, slices_y=args.slices_y)
-    recorder, root, received = _span_workload(system, seed=args.seed)
-    system.run()
-    root.finish(system.sim.now)
-    attribution = system.energy_attribution()
-    if args.folded:
-        with open(args.folded, "w", encoding="utf-8") as handle:
-            handle.write(attribution.folded())
-    if args.json:
-        print(json.dumps(attribution.to_dict(), sort_keys=True))
-        return 0
-    print(attribution.render(top=args.top))
-    if args.folded:
-        print(f"wrote folded stacks to {args.folded}")
-    return 0
+    for path in written:
+        print(f"wrote {path}")
+    return 1 if document["delivered_ok"] is False else 0
 
 
 def _git_sha() -> str:
@@ -734,12 +408,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _farm_handles(args: argparse.Namespace):
-    """(queue, cache) from the shared farm directory flags.
-
-    The cache directory defaults to ``<dir>/cache`` but is its own
-    flag: a cache shared across farm directories is how repeated
-    sweeps (and CI's second pass) hit instead of re-simulating.
-    """
+    """(queue, cache) from the shared farm directory flags."""
     from repro.farm import JobQueue, ResultCache
 
     cache_dir = args.cache_dir if args.cache_dir else f"{args.dir}/cache"
@@ -1029,8 +698,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_dir_flags(sub: argparse.ArgumentParser, command: str) -> None:
+    """The ``--dir``/``--cache-dir`` pair every farm and dse command takes.
+
+    The cache directory defaults to ``<dir>/cache`` but is its own
+    flag: a cache shared across directories is how repeated sweeps (and
+    CI's second pass) hit instead of re-simulating.
+    """
+    noun, holds = {
+        "farm": ("farm", "durable queue + work dirs"),
+        "dse": ("sweep", "spec + queue + cache + work"),
+    }[command]
+    sub.add_argument("--dir", default=command, metavar="DIR",
+                     help=f"{noun} directory ({holds})")
+    sub.add_argument("--cache-dir", default=None, metavar="DIR",
+                     help="content-addressed result cache "
+                          f"(default: DIR/cache; share it across {noun} "
+                          "directories to reuse results)")
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
+    from repro.checkpoint import WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Swallow energy-transparent many-core simulator",
@@ -1054,186 +744,39 @@ def main(argv: list[str] | None = None) -> int:
                                      help="draw the lattice")
     topology.add_argument("--slices-x", type=int, default=1)
     topology.add_argument("--slices-y", type=int, default=1)
-    topology.add_argument("--heat", action="store_true",
-                          help="run the demo workload with the fabric "
-                               "observatory and overlay its heat map")
-    topology.add_argument("--seed", type=int, default=None,
-                          help="vary the heat-map workload (with --heat)")
-    topology.add_argument("--window-us", type=float, default=1.0,
-                          help="netscope sampling window in us (with --heat)")
     topology.set_defaults(func=cmd_topology)
-    demo = subparsers.add_parser("demo", help="run the quickstart workload")
-    demo.add_argument("--seed", type=int, default=None,
-                      help="vary the workload deterministically")
-    demo.add_argument("--json", action="store_true",
-                      help="emit the energy report as JSON on stdout")
-    _add_heartbeat_flags(demo)
-    demo.set_defaults(func=cmd_demo)
-    stats = subparsers.add_parser(
-        "stats", help="run the demo workload; print metrics + kernel profile"
+    run = subparsers.add_parser(
+        "run",
+        help="run a registered workload on the resumable-run loop; print "
+             "its time and energy and export what was observed",
     )
-    stats.add_argument("--slices-x", type=int, default=1)
-    stats.add_argument("--slices-y", type=int, default=1)
-    stats.add_argument("--seed", type=int, default=None)
-    stats.add_argument("--prefix", default=None,
-                       help="only show metric series with this prefix")
-    stats.add_argument("--json", action="store_true",
-                       help="emit profile + metrics as JSON")
-    stats.add_argument("--sample-every", type=_positive_int, default=1,
-                       metavar="N",
-                       help="wall-time one event in N (1 = every event)")
-    stats.add_argument("--folded", default=None, metavar="PATH",
-                       help="write wall-time flame-graph folded stacks")
-    stats.add_argument("--meta-trace", default=None, metavar="PATH",
-                       help="write a Chrome trace of the simulator's own "
-                            "execution (wall time per callback source)")
-    stats.set_defaults(func=cmd_stats)
-    trace = subparsers.add_parser(
-        "trace", help="run the demo workload with tracing; export the trace"
-    )
-    trace.add_argument("--slices-x", type=int, default=1)
-    trace.add_argument("--slices-y", type=int, default=1)
-    trace.add_argument("--seed", type=int, default=None)
-    trace.add_argument("--out", default="trace.json", help="output file")
-    trace.add_argument("--format", choices=("chrome", "jsonl"),
-                       default="chrome")
-    trace.add_argument("--kinds", nargs="*", default=None,
-                       help="record only these event kinds")
-    trace.add_argument("--capacity", type=_positive_int, default=None,
-                       help="flight-recorder bound on retained records")
-    trace.set_defaults(func=cmd_trace)
-    faults = subparsers.add_parser(
-        "faults", help="run a reliable stream under a fault campaign"
-    )
-    faults.add_argument("--slices-x", type=int, default=1)
-    faults.add_argument("--slices-y", type=int, default=1)
-    faults.add_argument("--seed", type=int, default=None,
-                        help="campaign seed (deterministic)")
-    faults.add_argument("--words", type=_positive_int, default=16,
-                        help="payload words to stream reliably")
-    faults.add_argument("--drop-rate", type=float, default=0.05,
-                        help="default campaign's flaky-link drop rate")
-    faults.add_argument("--spec", default=None,
-                        help="JSON campaign spec file (see FaultCampaign.from_spec)")
-    faults.add_argument("--json", action="store_true",
-                        help="emit the campaign report as JSON")
-    faults.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="dump the final metrics snapshot as JSON")
-    faults.add_argument("--checkpoint-every", type=_positive_int, default=None,
-                        metavar="N",
-                        help="capture a checkpoint bundle every N kernel events")
-    faults.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="persist checkpoint bundles to this directory")
-    faults.add_argument("--retain", type=_positive_int, default=3,
-                        help="checkpoints kept in the retained set")
-    faults.add_argument("--kill-after-events", type=_positive_int,
-                        default=None, metavar="N",
-                        help="simulate a crash after N events "
-                             f"(exit code {EXIT_KILLED}; resume later)")
-    _add_heartbeat_flags(faults)
-    faults.set_defaults(func=cmd_faults)
-    netscope = subparsers.add_parser(
-        "netscope",
-        help="run a workload under the fabric observatory; export the "
-             "heat map, Chrome counter tracks, and slice-cut report",
-    )
-    netscope.add_argument("--workload", default="faults_stream",
-                          choices=("demo", "faults_stream",
-                                   "watchdog_stream"),
-                          help="registered workload to observe")
-    netscope.add_argument("--slices-x", type=int, default=1)
-    netscope.add_argument("--slices-y", type=int, default=1)
-    netscope.add_argument("--seed", type=int, default=None,
-                          help="workload/campaign seed (deterministic)")
-    netscope.add_argument("--words", type=_positive_int, default=16,
-                          help="payload words to stream")
-    netscope.add_argument("--drop-rate", type=float, default=0.05,
-                          help="default campaign's flaky-link drop rate")
-    netscope.add_argument("--spec", default=None,
-                          help="JSON campaign spec file")
-    netscope.add_argument("--window-us", type=float, default=1.0,
-                          help="telemetry sampling window in simulated us")
-    netscope.add_argument("--heatmap-out", default=None, metavar="PATH",
-                          help="write the heat-map document (canonical JSON)")
-    netscope.add_argument("--counters-out", default=None, metavar="PATH",
-                          help="write Chrome counter tracks (Perfetto)")
-    netscope.add_argument("--slice-cut-out", default=None, metavar="PATH",
-                          help="write the slice-cut report (canonical JSON)")
-    netscope.add_argument("--ascii", action="store_true",
-                          help="print the ASCII heat overlay")
-    netscope.add_argument("--json", action="store_true",
-                          help="emit the heat map as JSON on stdout")
-    netscope.add_argument("--checkpoint-every", type=_positive_int,
-                          default=None, metavar="N",
-                          help="capture a checkpoint bundle every N events")
-    netscope.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                          help="bundle store; a non-empty store is resumed")
-    netscope.add_argument("--retain", type=_positive_int, default=3,
-                          help="checkpoints kept in the retained set")
-    netscope.add_argument("--kill-after-events", type=_positive_int,
-                          default=None, metavar="N",
-                          help="simulate a crash after N events "
-                               f"(exit code {EXIT_KILLED}; resume later)")
-    netscope.set_defaults(func=cmd_netscope)
-    checkpoint = subparsers.add_parser(
-        "checkpoint",
-        help="run a workload partway and write a checkpoint bundle",
-    )
-    checkpoint.add_argument("--workload", default="faults_stream",
-                            help="registered workload name "
-                                 "(see repro.checkpoint.WORKLOADS)")
-    checkpoint.add_argument("--params", default=None, metavar="JSON",
-                            help="workload params as a JSON object")
-    checkpoint.add_argument("--after-events", type=_positive_int, default=None,
-                            help="capture after N events (default: at the end)")
-    checkpoint.add_argument("--out", default="checkpoint.json",
-                            help="bundle output path")
-    checkpoint.set_defaults(func=cmd_checkpoint)
-    resume = subparsers.add_parser(
-        "resume", help="resume a checkpointed run and drive it to completion"
-    )
-    resume.add_argument("bundle", nargs="?", default=None,
-                        help="checkpoint bundle path")
-    resume.add_argument("--dir", default=None, metavar="DIR",
-                        help="resume from the newest bundle in this store")
-    resume.add_argument("--checkpoint-every", type=_positive_int, default=None,
-                        metavar="N",
-                        help="keep checkpointing every N events after resume")
-    resume.add_argument("--retain", type=_positive_int, default=3,
-                        help="checkpoints kept in the retained set")
-    resume.add_argument("--report-out", default=None, metavar="PATH",
-                        help="write the final report (with recovery) as JSON")
-    resume.add_argument("--json", action="store_true",
-                        help="emit the final report as JSON on stdout")
-    _add_heartbeat_flags(resume)
-    resume.set_defaults(func=cmd_resume)
-    spans = subparsers.add_parser(
-        "spans", help="run a span-traced pipeline; export the span tree"
-    )
-    spans.add_argument("--slices-x", type=int, default=1)
-    spans.add_argument("--slices-y", type=int, default=1)
-    spans.add_argument("--seed", type=int, default=None,
-                       help="vary the pipeline deterministically")
-    spans.add_argument("--out", default="spans.json", help="output file")
-    spans.add_argument("--format", choices=("chrome", "jsonl"),
-                       default="chrome",
-                       help="chrome = Perfetto trace with flow arrows; "
-                            "jsonl = raw span/message records")
-    spans.set_defaults(func=cmd_spans)
-    energy_report = subparsers.add_parser(
-        "energy-report",
-        help="run a span-traced pipeline; print per-span energy attribution",
-    )
-    energy_report.add_argument("--slices-x", type=int, default=1)
-    energy_report.add_argument("--slices-y", type=int, default=1)
-    energy_report.add_argument("--seed", type=int, default=None)
-    energy_report.add_argument("--top", type=_positive_int, default=12,
-                               help="rows to show in the table")
-    energy_report.add_argument("--folded", default=None, metavar="PATH",
-                               help="also write flame-graph folded stacks")
-    energy_report.add_argument("--json", action="store_true",
-                               help="emit the attribution as JSON")
-    energy_report.set_defaults(func=cmd_energy_report)
+    run.add_argument("workload", choices=sorted(WORKLOADS),
+                     help="registered workload")
+    run.add_argument("--params", default="{}", metavar="JSON",
+                     help="workload params as a JSON object (seed, words, "
+                          "slices_x, \"netscope\": true, ...)")
+    run.add_argument("--observe", type=_observers, default=frozenset(),
+                     metavar="trace,profile",
+                     help="attach the tracer (trace.json) and/or the "
+                          "kernel profiler (profile.folded, "
+                          "meta_trace.json)")
+    run.add_argument("--out", default=None, metavar="DIR",
+                     help="write report.json and every export here")
+    run.add_argument("--checkpoint-every", type=_positive_int, default=None,
+                     metavar="N",
+                     help="capture a checkpoint bundle every N kernel events")
+    run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                     help="bundle store; one that already holds bundles "
+                          "is resumed from the newest")
+    run.add_argument("--kill-after-events", type=_positive_int, default=None,
+                     metavar="N",
+                     help="simulate a crash after N events "
+                          f"(exit code {EXIT_KILLED}; rerun to resume)")
+    run.add_argument("--heartbeat-every", type=_positive_int, default=None,
+                     metavar="N",
+                     help="emit a JSONL progress snapshot every N kernel "
+                          "events (heartbeat.jsonl)")
+    run.set_defaults(func=cmd_run)
     farm = subparsers.add_parser(
         "farm",
         help="campaign farm: queue simulation matrices, fan out across "
@@ -1241,18 +784,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     farm_sub = farm.add_subparsers(dest="farm_command", required=True)
 
-    def _farm_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--dir", default="farm", metavar="DIR",
-                         help="farm directory (durable queue + work dirs)")
-        sub.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="content-addressed result cache "
-                              "(default: DIR/cache; share it across farm "
-                              "directories to reuse results)")
-
     farm_submit = farm_sub.add_parser(
         "submit", help="expand a matrix spec and enqueue its jobs"
     )
-    _farm_common(farm_submit)
+    _add_dir_flags(farm_submit, "farm")
     farm_submit.add_argument("--matrix", required=True, metavar="FILE",
                              help="matrix spec JSON "
                                   "(workload + base params + sweep axes)")
@@ -1261,7 +796,7 @@ def main(argv: list[str] | None = None) -> int:
     farm_run = farm_sub.add_parser(
         "run", help="drive every queued job to completion across workers"
     )
-    _farm_common(farm_run)
+    _add_dir_flags(farm_run, "farm")
     farm_run.add_argument("--matrix", default=None, metavar="FILE",
                           help="also submit this matrix before running")
     farm_run.add_argument("--workers", type=_positive_int, default=2,
@@ -1286,13 +821,13 @@ def main(argv: list[str] | None = None) -> int:
     farm_status = farm_sub.add_parser(
         "status", help="live campaign view (queue states + heartbeats)"
     )
-    _farm_common(farm_status)
+    _add_dir_flags(farm_status, "farm")
     farm_status.add_argument("--json", action="store_true",
                              help="emit the progress view as JSON")
     farm_report_cmd = farm_sub.add_parser(
         "report", help="aggregate the campaign into a farm report"
     )
-    _farm_common(farm_report_cmd)
+    _add_dir_flags(farm_report_cmd, "farm")
     farm_report_cmd.add_argument("--out", default=None, metavar="PATH",
                                  help="write the report as canonical JSON")
     farm_report_cmd.add_argument("--heatmap-out", default=None,
@@ -1318,18 +853,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     dse_sub = dse.add_subparsers(dest="dse_command", required=True)
 
-    def _dse_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--dir", default="dse", metavar="DIR",
-                         help="sweep directory (spec + queue + cache + work)")
-        sub.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="content-addressed result cache "
-                              "(default: DIR/cache; share it across sweep "
-                              "directories to reuse results)")
-
     dse_submit = dse_sub.add_parser(
         "submit", help="expand a sweep spec and enqueue its design points"
     )
-    _dse_common(dse_submit)
+    _add_dir_flags(dse_submit, "dse")
     dse_submit.add_argument("--sweep", required=True, metavar="FILE",
                             help="sweep spec JSON (workload + base + axes "
                                  "+ objectives)")
@@ -1338,7 +865,7 @@ def main(argv: list[str] | None = None) -> int:
         help="drive the sweep to completion and fold the dse report "
              f"(exit {EXIT_KILLED} if interrupted; re-run to resume)",
     )
-    _dse_common(dse_run)
+    _add_dir_flags(dse_run, "dse")
     dse_run.add_argument("--sweep", default=None, metavar="FILE",
                          help="submit this sweep spec before running "
                               "(default: the directory's saved spec)")
@@ -1359,7 +886,7 @@ def main(argv: list[str] | None = None) -> int:
     dse_report = dse_sub.add_parser(
         "report", help="fold the sweep's cached results into dse-report/1"
     )
-    _dse_common(dse_report)
+    _add_dir_flags(dse_report, "dse")
     dse_report.add_argument("--out", default=None, metavar="PATH",
                             help="write the report as canonical JSON")
     dse_report.add_argument("--timeline-out", default=None, metavar="PATH",
@@ -1373,7 +900,7 @@ def main(argv: list[str] | None = None) -> int:
     dse_pareto = dse_sub.add_parser(
         "pareto", help="extract the non-dominated front from the sweep"
     )
-    _dse_common(dse_pareto)
+    _add_dir_flags(dse_pareto, "dse")
     dse_pareto.add_argument("--objective", action="append", default=None,
                             metavar="KEY[:min|max]",
                             help="objective axis (repeatable; default: the "

@@ -7,7 +7,7 @@ See :mod:`repro.checkpoint.snapshot` for the capture/verify model,
 """
 
 from repro.checkpoint.policy import CheckpointPolicy, CheckpointStore
-from repro.checkpoint.resume import RecoveryReport, ResumableRun
+from repro.checkpoint.resume import EXIT_KILLED, RecoveryReport, ResumableRun
 from repro.checkpoint.snapshot import (
     SCHEMA_VERSION,
     BundleIntegrityError,
@@ -17,6 +17,7 @@ from repro.checkpoint.snapshot import (
     content_digest,
 )
 from repro.checkpoint.workloads import (
+    WORKLOAD_PARAMS,
     WORKLOADS,
     RunContext,
     build_workload,
@@ -24,6 +25,7 @@ from repro.checkpoint.workloads import (
 )
 
 __all__ = [
+    "EXIT_KILLED",
     "SCHEMA_VERSION",
     "BundleIntegrityError",
     "CheckpointError",
@@ -33,6 +35,7 @@ __all__ = [
     "ResumableRun",
     "RunContext",
     "Snapshot",
+    "WORKLOAD_PARAMS",
     "WORKLOADS",
     "build_workload",
     "canonical_json",

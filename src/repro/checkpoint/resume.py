@@ -1,19 +1,21 @@
 """Resumable runs: checkpointed execution, restore, rollback recovery.
 
-:class:`ResumableRun` drives a rebuildable workload one kernel event at
-a time, capturing :class:`~repro.checkpoint.snapshot.Snapshot` bundles
-at the policy's boundaries.  Because it peeks the queue
-(:meth:`Simulator.next_event_time`) instead of advancing the clock to a
-boundary, the checkpointed run executes the exact same event sequence
-as an uninterrupted one — checkpointing is observation, never
-perturbation.
+:class:`ResumableRun` drives a rebuildable workload through the
+kernel's one event loop, in chunks that end at the next checkpoint,
+heartbeat or kill mark, capturing
+:class:`~repro.checkpoint.snapshot.Snapshot` bundles at the policy's
+boundaries.  A chunk never advances the clock past a time boundary (it
+peeks the queue instead), so the checkpointed run executes the exact
+same event sequence as an uninterrupted one — checkpointing is
+observation, never perturbation.
 
 Three ways a run ends:
 
 * **completed** — the queue drained; the final report is byte-identical
   to an uninterrupted run of the same configuration.
 * **killed** — ``kill_after_events`` was reached mid-run (simulating a
-  crash); resume later with :meth:`ResumableRun.resume`, which rebuilds
+  crash; a process exits :data:`EXIT_KILLED`); resume later with
+  :meth:`ResumableRun.open` or :meth:`ResumableRun.resume`, which rebuilds
   the workload from the bundle's setup, replays to the captured event
   count, verifies every layer against the bundle, and continues.
 * **rollback** — a :class:`~repro.core.watchdog.RollbackSignal` escaped
@@ -39,6 +41,10 @@ from repro.checkpoint.workloads import RunContext, build_workload
 from repro.core.watchdog import RollbackSignal
 from repro.sim import us
 from repro.sim.engine import KERNEL_STATS, replay_window
+
+#: Exit code of a process whose run was killed mid-flight (EX_TEMPFAIL:
+#: the run is resumable from its checkpoint store, not failed).
+EXIT_KILLED = 75
 
 
 class RecoveryReport:
@@ -129,6 +135,8 @@ class ResumableRun:
         self._next_time_mark: int | None = None
         self._heartbeat = None
         self._beat_mark: int | None = None
+        #: The bundle path :meth:`open` resumed from (None: a fresh run).
+        self.resumed_from: str | None = None
         self._reset_marks()
 
     # -- setup record -------------------------------------------------------
@@ -167,12 +175,19 @@ class ResumableRun:
     # -- the drive loop -----------------------------------------------------
 
     def _drive(self, kill_after_events: int | None = None) -> int:
-        """Step the kernel, capturing at policy boundaries.
+        """Drain the kernel in chunks, capturing at policy boundaries.
 
-        Returns events executed by this call.  Stops when the queue
-        drains or (setting :attr:`killed`) after ``kill_after_events``.
+        Each chunk is one :meth:`Simulator._drain` call that stops at
+        the next time mark and at the nearest heartbeat, checkpoint or
+        kill mark in events; the checks run between chunks, in that
+        order, exactly where a one-event-at-a-time loop would run them.
+        The event whose callback raises (a :class:`RollbackSignal`)
+        is not counted as executed.  Returns events executed by this
+        call.  Stops when the queue drains or (setting :attr:`killed`)
+        after ``kill_after_events``.
         """
         sim = self.context.system.sim
+        heartbeat = self._heartbeat
         executed = 0
         try:
             while True:
@@ -187,11 +202,27 @@ class ResumableRun:
                     while head > self._next_time_mark:
                         self._next_time_mark += us(self.policy.every_us)
                     continue
-                if not sim.step():
-                    return executed
-                executed += 1
-                self.events_fresh += 1
-                heartbeat = self._heartbeat
+                gaps = []
+                if heartbeat is not None:
+                    gaps.append(self._beat_mark - self.events_fresh)
+                if self._next_events_mark is not None:
+                    gaps.append(self._next_events_mark - sim.events_processed)
+                if kill_after_events is not None:
+                    gaps.append(kill_after_events - executed)
+                before = sim.events_processed
+                try:
+                    ran = sim._drain(
+                        until_ps=self._next_time_mark,
+                        max_events=min(gaps) if gaps else None,
+                    )
+                except BaseException:
+                    # The kernel counted the event whose callback
+                    # raised; the run does not.
+                    ran = sim.events_processed - before - 1
+                    raise
+                finally:
+                    executed += ran
+                    self.events_fresh += ran
                 if (
                     heartbeat is not None
                     and self.events_fresh >= self._beat_mark
@@ -364,6 +395,46 @@ class ResumableRun:
         run._replay_to(snapshot)
         run.snapshots.append(snapshot)
         run._reset_marks()
+        return run
+
+    @classmethod
+    def open(
+        cls,
+        workload: str,
+        params: dict | None = None,
+        policy: CheckpointPolicy | None = None,
+        store: CheckpointStore | None = None,
+        max_rollbacks: int = 3,
+    ) -> "ResumableRun":
+        """Resume from the store's newest bundle, or start fresh.
+
+        A store that already holds bundles is resumed (see
+        :meth:`resume`); an empty store, or none, starts a fresh run.
+        Raises :class:`CheckpointError` when the newest bundle records
+        another workload or other params.  The comparison ignores
+        ``masked``, which a rollback adds to later bundles' params.
+        """
+        params = dict(params or {})
+        paths = store.paths() if store is not None else []
+        if not paths:
+            return cls(workload, params, policy=policy, store=store,
+                       max_rollbacks=max_rollbacks)
+        def unmasked(params: dict) -> dict:
+            return {k: v for k, v in params.items() if k != "masked"}
+
+        snapshot = store.latest()
+        recorded = unmasked(snapshot.setup.get("params", {}))
+        asked = unmasked(params)
+        if snapshot.setup.get("workload") != workload or recorded != asked:
+            raise CheckpointError(
+                f"{paths[-1]} was recorded for workload "
+                f"{snapshot.setup.get('workload')!r} with params "
+                f"{canonical_json(recorded)}, not {workload!r} with "
+                f"{canonical_json(asked)}"
+            )
+        run = cls.resume(snapshot, policy=policy, store=store,
+                         max_rollbacks=max_rollbacks)
+        run.resumed_from = str(paths[-1])
         return run
 
     # -- reporting ----------------------------------------------------------

@@ -10,13 +10,16 @@ from that record alone.
 
 Builders must be deterministic: the same params always produce the
 same event trajectory.  Anything random must flow through a recorded
-seed.
+seed.  Each builder declares the params keys it reads; every builder
+also takes :data:`SHARED_PARAMS`, and :func:`build_workload` refuses
+any other key, so a misspelt or ignored param cannot give a sweep
+point a job digest of its own for an unchanged simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.checkpoint.snapshot import CheckpointError, Snapshot, content_digest
 
@@ -34,7 +37,8 @@ class RunContext:
     received: list = field(default_factory=list)
     #: What ``received`` must equal for a fully successful run.
     expected: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    #: A span the workload opens at t=0; the final report closes it.
+    root_span: object | None = None
 
     def capture(self, setup: dict | None = None) -> Snapshot:
         """Snapshot every layer of this context."""
@@ -66,6 +70,8 @@ class RunContext:
         the same trajectory and then build this report produce the same
         bytes.
         """
+        if self.root_span is not None:
+            self.root_span.finish(self.system.sim.now)
         report: dict = {}
         if self.campaign is not None:
             report["campaign"] = self.campaign.report().to_dict()
@@ -86,29 +92,54 @@ class RunContext:
         return report
 
 
+#: Params every builder takes: the machine (:func:`_system_kwargs`) and
+#: the fabric observatory (:func:`_maybe_netscope`).
+SHARED_PARAMS = frozenset({
+    "slices_x", "slices_y", "freq_mhz", "topology", "link_aggregation",
+    "netscope", "netscope_window_us",
+})
+
 #: name -> builder(params) -> RunContext
 WORKLOADS: dict[str, Callable[[dict], RunContext]] = {}
+#: name -> every params key its builder accepts (shared keys included)
+WORKLOAD_PARAMS: dict[str, frozenset] = {}
 
 
-def register_workload(name: str):
-    """Decorator: register a workload builder under ``name``."""
+def register_workload(name: str, params: Iterable[str] = ()):
+    """Decorator: register a workload builder under ``name``.
+
+    ``params`` names the keys the builder reads beyond
+    :data:`SHARED_PARAMS`.
+    """
 
     def register(builder: Callable[[dict], RunContext]):
         if name in WORKLOADS:
             raise ValueError(f"workload {name!r} already registered")
         WORKLOADS[name] = builder
+        WORKLOAD_PARAMS[name] = SHARED_PARAMS | frozenset(params)
         return builder
 
     return register
 
 
 def build_workload(name: str, params: dict | None = None) -> RunContext:
-    """Build a registered workload from plain data."""
+    """Build a registered workload from plain data.
+
+    Raises :class:`CheckpointError` for an unknown workload or for any
+    params key the workload does not declare.
+    """
     builder = WORKLOADS.get(name)
     if builder is None:
         known = ", ".join(sorted(WORKLOADS)) or "(none)"
         raise CheckpointError(f"unknown workload {name!r}; known: {known}")
-    return builder(dict(params or {}))
+    params = dict(params or {})
+    unknown = sorted(set(params) - WORKLOAD_PARAMS[name])
+    if unknown:
+        raise CheckpointError(
+            f"workload {name!r} takes no param(s) {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(WORKLOAD_PARAMS[name]))}"
+        )
+    return builder(params)
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +196,123 @@ def _stream_route(system):
     return node_a, node_b, cores
 
 
-@register_workload("demo")
+@register_workload("demo", params=("seed",))
 def _demo(params: dict) -> RunContext:
-    """The quickstart workload (producer/consumer + a spin loop)."""
-    from repro.__main__ import _demo_workload
+    """The quickstart workload (producer/consumer + a spin loop).
+
+    ``seed`` deterministically varies the loop count, the number of
+    streamed words and their payloads; without it the historical fixed
+    demo runs.
+    """
+    import random
+
     from repro.core.platform import SwallowSystem
+    from repro.xs1 import Compute, RecvWord, SendWord, assemble
 
     system = SwallowSystem(**_system_kwargs(params))
     _maybe_netscope(system, params)
-    received = _demo_workload(system, seed=params.get("seed"))
+    seed = params.get("seed")
+    if seed is None:
+        loop_count, words, payload = 1000, 4, lambda i: i * i
+    else:
+        rng = random.Random(seed)
+        loop_count = rng.randrange(200, 2000)
+        words = rng.randrange(2, 9)
+        values = [rng.randrange(0, 1 << 16) for _ in range(words)]
+        payload = lambda i: values[i]
+    system.spawn(system.core(0), assemble(f"""
+        ldc r0, {loop_count}
+    loop:
+        subi r0, r0, 1
+        bt r0, loop
+        freet
+    """))
+    channel = system.channel(system.core(1), system.core(10))
+    received: list[int] = []
+
+    def producer():
+        for i in range(words):
+            yield Compute(100)
+            yield SendWord(channel.a, payload(i))
+
+    def consumer():
+        for _ in range(words):
+            received.append((yield RecvWord(channel.b)))
+
+    system.spawn_task(system.core(1), producer())
+    system.spawn_task(system.core(10), consumer())
     return RunContext(system=system, received=received)
 
 
-@register_workload("faults_stream")
+@register_workload("pipeline", params=("seed",))
+def _pipeline(params: dict) -> RunContext:
+    """A span-instrumented three-stage pipeline.
+
+    Producer → relay → consumer across three cores, every stage under
+    its own child span of one ``pipeline`` root, which the final report
+    closes.  ``seed`` varies the word count and compute cost.
+    """
+    import random
+
+    from repro.core.platform import SwallowSystem
+    from repro.xs1 import Compute, RecvWord, SendWord
+
+    system = SwallowSystem(**_system_kwargs(params))
+    _maybe_netscope(system, params)
+    recorder = system.spans()
+    root = recorder.span("pipeline")
+    root.begin(system.sim.now)
+    seed = params.get("seed")
+    if seed is None:
+        words, cost = 6, 120
+    else:
+        rng = random.Random(seed)
+        words = rng.randrange(3, 10)
+        cost = rng.randrange(60, 260)
+    first = system.channel(system.core(0), system.core(1))
+    second = system.channel(system.core(1), system.core(10))
+    received: list[int] = []
+
+    def producer():
+        for i in range(words):
+            yield Compute(cost)
+            yield SendWord(first.a, i * 3 + 1)
+
+    def relay():
+        for _ in range(words):
+            value = yield RecvWord(first.b)
+            yield Compute(cost // 2)
+            yield SendWord(second.a, value * 2)
+
+    def consumer():
+        for _ in range(words):
+            received.append((yield RecvWord(second.b)))
+
+    system.spawn_task(system.core(0), producer(), name="produce",
+                      span=root.child("produce"))
+    system.spawn_task(system.core(1), relay(), name="relay",
+                      span=root.child("relay"))
+    system.spawn_task(system.core(10), consumer(), name="consume",
+                      span=root.child("consume"))
+    return RunContext(
+        system=system,
+        received=received,
+        expected=[(i * 3 + 1) * 2 for i in range(words)],
+        root_span=root,
+    )
+
+
+@register_workload(
+    "faults_stream",
+    params=("seed", "words", "drop_rate", "faults", "heal", "masked"),
+)
 def _faults_stream(params: dict) -> RunContext:
     """A reliable word stream under a seeded fault campaign.
 
-    The exact workload of ``python -m repro faults``: a producer
-    streams ``words`` values over a :class:`ReliableChannel` crossing
-    one vertical link, while the campaign injects the given ``faults``
-    (default: one flaky link on the stream's route from t=0).
+    A producer streams ``words`` values over a :class:`ReliableChannel`
+    crossing one vertical link, while the campaign injects the given
+    ``faults`` (default: one flaky link on the stream's route from
+    t=0).
     """
     from repro.apps.reliable import ReliableChannel
     from repro.core.platform import SwallowSystem
@@ -235,7 +363,11 @@ def _faults_stream(params: dict) -> RunContext:
     )
 
 
-@register_workload("watchdog_stream")
+@register_workload(
+    "watchdog_stream",
+    params=("seed", "words", "max_retries", "faults", "fault_at_us", "heal",
+            "masked", "check_every_us", "stall_checks", "deadline_us"),
+)
 def _watchdog_stream(params: dict) -> RunContext:
     """The fault stream under NanoOS placement and watchdog supervision.
 
@@ -325,7 +457,12 @@ def _watchdog_stream(params: dict) -> RunContext:
     )
 
 
-@register_workload("policy_rt")
+@register_workload(
+    "policy_rt",
+    params=("policy", "k", "fault_budget", "spans", "tasks", "taskset_seed",
+            "kills", "seed", "kill_from_us", "kill_every_us", "heal", "masked",
+            "governor_budget_mw", "governor_channel", "governor_samples"),
+)
 def _policy_rt(params: dict) -> RunContext:
     """A seeded real-time task set under a policy-zoo bundle and core kills.
 

@@ -13,7 +13,6 @@ JSON form (``repro dse submit --sweep sweep.json``)::
 
     {
       "workload": "demo",
-      "base":  {"messages": 4},
       "sweep": {
         "topology": ["lattice", "mesh", "torus"],
         "freq_mhz": [500, 250],

@@ -35,10 +35,9 @@ from repro.farm.pool import (
 )
 from repro.farm.queue import JobQueue, JobRecord, STATES
 from repro.farm.spec import FarmError, JobSpec, MatrixSpec
-from repro.farm.worker import EXIT_PREEMPTED, execute_job
+from repro.farm.worker import execute_job
 
 __all__ = [
-    "EXIT_PREEMPTED",
     "FarmError",
     "FarmReport",
     "JobQueue",

@@ -9,7 +9,7 @@ loop is claim → maybe-serve-from-cache → spawn → reap:
   immediately as a **cache hit** — no process, no simulation;
 * exit 0 stores the worker's deterministic ``result.json`` in the
   cache and marks the job done;
-* exit 75 (:data:`~repro.farm.worker.EXIT_PREEMPTED`) marks it
+* exit 75 (:data:`~repro.checkpoint.resume.EXIT_KILLED`) marks it
   preempted — claimable again, and the pool deliberately prefers a
   *different* slot for the retry, so preemption exercises migration:
   the next worker resumes from the job's checkpoint store and finishes
@@ -32,6 +32,7 @@ import multiprocessing
 import time
 from pathlib import Path
 
+from repro.checkpoint.resume import EXIT_KILLED
 from repro.checkpoint.snapshot import canonical_json
 from repro.farm.cache import ResultCache
 from repro.farm.queue import CLAIMABLE, JobQueue, JobRecord
@@ -40,7 +41,6 @@ from repro.farm import worker as worker_mod
 from repro.farm.worker import (
     DEFAULT_CHECKPOINT_EVERY,
     DEFAULT_HEARTBEAT_EVERY,
-    EXIT_PREEMPTED,
     worker_main,
 )
 
@@ -172,7 +172,7 @@ class WorkerPool:
             self.cache.put(record.digest, document)
             self.queue.complete(job_id)
             self.events.append((job_id, "done"))
-        elif exitcode == EXIT_PREEMPTED:
+        elif exitcode == EXIT_KILLED:
             self.queue.preempt(job_id)
             self.events.append((job_id, "preempted"))
         else:

@@ -19,13 +19,15 @@ plus a per-job work directory and drives a
   outcomes but identical results.
 
 Exit codes follow the repo's convention: 0 = done, 75 = preempted
-(:data:`EXIT_PREEMPTED`, same EX_TEMPFAIL code ``--kill-after-events``
-uses — the job is resumable, not failed), anything else = failed.
+(:data:`~repro.checkpoint.resume.EXIT_KILLED`, the EX_TEMPFAIL code
+``repro run --kill-after-events`` exits with — the job is resumable,
+not failed), anything else = failed.
 
-The migration story is just resume: if ``checkpoints/`` already holds
-bundles, the worker rebuilds from the newest one, replays and verifies
-it, and continues — regardless of which process captured it.  State
-moves between workers as bundles on disk, never as live objects.
+The migration story is just resume: the worker opens its run through
+:meth:`ResumableRun.open`, so if ``checkpoints/`` already holds
+bundles, it rebuilds from the newest one, replays and verifies it, and
+continues — regardless of which process captured it.  State moves
+between workers as bundles on disk, never as live objects.
 """
 
 from __future__ import annotations
@@ -37,13 +39,10 @@ import traceback
 from pathlib import Path
 
 from repro.checkpoint.policy import CheckpointPolicy, CheckpointStore
-from repro.checkpoint.resume import ResumableRun
+from repro.checkpoint.resume import EXIT_KILLED, ResumableRun
 from repro.checkpoint.snapshot import canonical_json
 from repro.obs.perf import RunHeartbeat
 
-#: Exit code of a preempted (resumable) worker — EX_TEMPFAIL, matching
-#: the CLI's ``--kill-after-events`` convention.
-EXIT_PREEMPTED = 75
 #: Exit code of a failed (non-resumable) job attempt.
 EXIT_FAILED = 1
 
@@ -80,12 +79,8 @@ def execute_job(
     store = CheckpointStore(work_dir / "checkpoints", retain=retain)
     policy = CheckpointPolicy(every_events=checkpoint_every, retain=retain)
     try:
-        if len(store):
-            run = ResumableRun.resume(store.latest(), policy=policy,
-                                      store=store)
-        else:
-            run = ResumableRun(config["workload"], config.get("params", {}),
-                               policy=policy, store=store)
+        run = ResumableRun.open(config["workload"], config.get("params", {}),
+                                policy=policy, store=store)
         heartbeat = None
         if heartbeat_every is not None:
             heartbeat = RunHeartbeat(
@@ -112,7 +107,7 @@ def execute_job(
         json.dumps(outcome, sort_keys=True), encoding="utf-8"
     )
     if run.killed:
-        return EXIT_PREEMPTED
+        return EXIT_KILLED
     document = result_document(config, run.final_report())
     result_path = work_dir / "result.json"
     tmp = result_path.with_suffix(".json.tmp")

@@ -328,10 +328,9 @@ class RunHeartbeat:
     exist and everything in their deterministic core is a pure function
     of the run's configuration.
 
-    Use :meth:`drive` to run a bare simulator to completion with
-    heartbeats, or hand the object to
-    :meth:`repro.checkpoint.ResumableRun.run`, which beats from its own
-    drive loop (and reports replayed events separately).
+    Hand the object to :meth:`repro.checkpoint.ResumableRun.run`,
+    which beats from its drive loop (reporting replayed events
+    separately) and closes the stream with a final beat.
     """
 
     def __init__(
@@ -388,32 +387,6 @@ class RunHeartbeat:
                                           separators=(",", ":")) + "\n")
             self._handle.flush()
         return line
-
-    def drive(self, sim, max_events: int | None = None) -> int:
-        """Run ``sim`` until idle, beating every ``every_events`` events.
-
-        Returns the number of events executed.  A final beat (with
-        ``"final": true``) always closes the stream, so even a short run
-        leaves at least one line behind.
-        """
-        executed = 0
-        while True:
-            chunk = self.every_events
-            if max_events is not None:
-                chunk = min(chunk, max_events - executed)
-            if chunk <= 0:
-                break
-            ran = sim.run(max_events=chunk)
-            executed += ran
-            if ran == 0:
-                break
-            if ran == chunk and sim.next_event_time() is not None:
-                self.beat(sim, events=executed)
-            else:
-                break
-        self.beat(sim, events=executed, final=True)
-        self.close()
-        return executed
 
     def close(self) -> None:
         """Close the output file (idempotent; in-memory lines remain)."""

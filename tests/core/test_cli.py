@@ -32,18 +32,20 @@ class TestTables:
 
 class TestDemo:
     def test_demo_runs_and_reports(self, capsys):
-        assert main(["demo"]) == 0
+        assert main(["run", "demo"]) == 0
         out = capsys.readouterr().out
         assert "streamed words: [0, 1, 4, 9]" in out
         assert "Energy report" in out
 
 
 class TestCheckpointCli:
+    STREAM = ["run", "faults_stream", "--params", '{"words": 8, "seed": 3}']
+
     def test_faults_kill_exits_resumable(self, capsys, tmp_path):
         """--kill-after-events simulates a crash: exit 75 + bundles on disk."""
         store = tmp_path / "store"
         code = main([
-            "faults", "--words", "8", "--seed", "3",
+            *self.STREAM,
             "--checkpoint-every", "400",
             "--checkpoint-dir", str(store),
             "--kill-after-events", "1200",
@@ -54,16 +56,18 @@ class TestCheckpointCli:
         assert list(store.glob("checkpoint-*.json"))
 
     def test_checkpoint_then_resume_completes(self, capsys, tmp_path):
-        bundle = tmp_path / "bundle.json"
+        """A bundle at exactly N events, then the same command resumes."""
+        store = tmp_path / "store"
+        flags = ["--params", '{"words": 8, "seed": 1}',
+                 "--checkpoint-dir", str(store)]
         assert main([
-            "checkpoint", "--workload", "faults_stream",
-            "--params", '{"words": 8, "seed": 1}',
-            "--after-events", "900", "--out", str(bundle),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "events processed  900" in out
-        assert bundle.exists()
-        assert main(["resume", str(bundle)]) == 0
+            "run", "faults_stream", *flags,
+            "--checkpoint-every", "900", "--kill-after-events", "900",
+        ]) == 75
+        capsys.readouterr()
+        assert [p.name for p in store.iterdir()] == [
+            "checkpoint-000000000900.json"]
+        assert main(["run", "faults_stream", *flags]) == 0
         out = capsys.readouterr().out
         assert "@ 900 events, verified" in out
         assert "recovery report: completed" in out
@@ -75,20 +79,19 @@ class TestCheckpointCli:
         import json
 
         store = tmp_path / "store"
-        report_path = tmp_path / "resumed.json"
+        out = tmp_path / "out"
         assert main([
-            "faults", "--words", "8", "--seed", "3",
+            *self.STREAM,
             "--checkpoint-every", "300",
             "--checkpoint-dir", str(store),
             "--kill-after-events", "1000",
         ]) == 75
         capsys.readouterr()
         assert main([
-            "resume", "--dir", str(store),
-            "--report-out", str(report_path),
+            *self.STREAM, "--checkpoint-dir", str(store), "--out", str(out),
         ]) == 0
         capsys.readouterr()
-        resumed = json.loads(report_path.read_text())
+        resumed = json.loads((out / "report.json").read_text())
         resumed.pop("recovery")
 
         from repro.checkpoint import build_workload
@@ -103,9 +106,18 @@ class TestCheckpointCli:
             == json.dumps(reference.final_report(), sort_keys=True)
         )
 
-    def test_resume_without_source_errors(self, capsys):
-        assert main(["resume"]) == 2
-        assert "need a bundle path or --dir" in capsys.readouterr().err
+    def test_resume_refuses_a_store_of_other_params(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        assert main([
+            *self.STREAM,
+            "--checkpoint-every", "400",
+            "--checkpoint-dir", str(store),
+            "--kill-after-events", "800",
+        ]) == 75
+        capsys.readouterr()
+        assert main(["run", "faults_stream", "--params", '{"words": 8}',
+                     "--checkpoint-dir", str(store)]) == 2
+        assert "was recorded for" in capsys.readouterr().err
 
 
 class TestParsing:
@@ -116,3 +128,16 @@ class TestParsing:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
+
+    def test_ten_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listing = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+        assert listing.split(",") == [
+            "info", "tables", "isa", "figures", "topology", "topo", "run",
+            "farm", "dse", "policies", "perf",
+        ]
+
+    def test_unknown_workload_exits(self):
+        with pytest.raises(SystemExit):
+            main(["run", "bogus"])

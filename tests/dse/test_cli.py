@@ -9,7 +9,6 @@ from repro.__main__ import main
 
 SWEEP = {
     "workload": "demo",
-    "base": {"messages": 3},
     "sweep": {"topology": ["lattice", "mesh"], "seed": [1]},
 }
 

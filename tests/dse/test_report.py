@@ -18,7 +18,6 @@ from repro.farm import ResultCache
 
 SPEC = {
     "workload": "demo",
-    "base": {"messages": 3},
     "sweep": {"topology": ["lattice", "torus"], "seed": [1, 2]},
 }
 

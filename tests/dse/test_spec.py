@@ -29,7 +29,6 @@ class TestSweepSpec:
     def spec(self):
         return SweepSpec(
             workload="demo",
-            base={"messages": 3},
             sweep={"topology": ["lattice", "mesh"], "seed": [1, 2]},
         )
 
@@ -54,7 +53,6 @@ class TestSweepSpec:
         spec = self.spec()
         reweighted = SweepSpec(
             workload="demo",
-            base={"messages": 3},
             sweep={"topology": ["lattice", "mesh"], "seed": [1, 2]},
             objectives=(("gips", "max"), ("total_energy_j", "min")),
         )

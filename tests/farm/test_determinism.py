@@ -10,9 +10,9 @@
 
 from pathlib import Path
 
+from repro.checkpoint import EXIT_KILLED
 from repro.checkpoint.snapshot import canonical_json
 from repro.farm import (
-    EXIT_PREEMPTED,
     JobQueue,
     JobSpec,
     ResultCache,
@@ -41,7 +41,7 @@ class TestPreemptionByteIdentity:
         # call shares nothing in memory with the first).
         code = execute_job(SPEC.config, tmp_path / "mig",
                            checkpoint_every=200, preempt_after_events=300)
-        assert code == EXIT_PREEMPTED
+        assert code == EXIT_KILLED
         assert not (tmp_path / "mig" / "result.json").exists()
         assert execute_job(SPEC.config, tmp_path / "mig", attempt=2,
                            checkpoint_every=200) == 0

@@ -152,26 +152,31 @@ class TestFromSpec:
 
 class TestCli:
     def test_faults_command_default_campaign(self, capsys):
-        assert main(["faults", "--words", "6", "--seed", "1"]) == 0
+        assert main(["run", "faults_stream",
+                     "--params", '{"words": 6, "seed": 1}']) == 0
         out = capsys.readouterr().out
         assert "fault campaign (seed 1)" in out
         assert "6/6 words delivered, intact" in out
 
-    def test_faults_command_json(self, capsys):
-        assert main(["faults", "--words", "4", "--seed", "2", "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
+    def test_faults_command_json(self, capsys, tmp_path):
+        assert main(["run", "faults_stream",
+                     "--params", '{"words": 4, "seed": 2}',
+                     "--out", str(tmp_path)]) == 0
+        document = json.loads((tmp_path / "report.json").read_text())
         assert document["delivered_ok"] is True
-        assert document["report"]["seed"] == 2
-        assert document["report"]["channels"]["stream"]["delivered"] == 4
+        assert document["campaign"]["seed"] == 2
+        assert document["campaign"]["channels"]["stream"]["delivered"] == 4
 
-    def test_faults_command_spec_file(self, capsys, tmp_path):
-        spec = tmp_path / "campaign.json"
-        spec.write_text(json.dumps({
+    def test_faults_command_spec_file(self, capsys):
+        """A campaign spec's contents are workload params."""
+        params = {
+            "words": 4,
             "seed": 4,
             "faults": [{"kind": "flaky_link", "at_us": 0.0,
                         "node_a": 0, "node_b": 8, "drop_rate": 0.05}],
-        }))
-        assert main(["faults", "--words", "4", "--spec", str(spec)]) == 0
+        }
+        assert main(["run", "faults_stream",
+                     "--params", json.dumps(params)]) == 0
         out = capsys.readouterr().out
         assert "fault campaign (seed 4)" in out
         assert "4/4 words delivered, intact" in out

@@ -137,7 +137,7 @@ class TestVariantWorkloads:
 
         run = ResumableRun(
             "demo",
-            {"seed": 5, "messages": 2, "topology": topology,
+            {"seed": 5, "topology": topology,
              "link_aggregation": 2},
         )
         run.run()
@@ -150,7 +150,7 @@ class TestVariantWorkloads:
 
         def digest():
             run = ResumableRun(
-                "demo", {"seed": 5, "messages": 2, "topology": "torus"}
+                "demo", {"seed": 5, "topology": "torus"}
             )
             run.run()
             return run.final_report()["state_digest"]

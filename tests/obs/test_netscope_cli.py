@@ -1,4 +1,4 @@
-"""End-to-end tests for ``python -m repro netscope`` and ``topo --heat``.
+"""End-to-end tests for netscope runs: ``repro run`` with ``"netscope": true``.
 
 The CLI contract the docs advertise: exported heat maps and counter
 tracks are byte-identical across same-seed runs — including a run that
@@ -7,20 +7,18 @@ is killed mid-flight and resumed from its checkpoint store.
 
 import json
 
-from repro.__main__ import EXIT_KILLED, main
+from repro.__main__ import main
+from repro.checkpoint import EXIT_KILLED
+
+STREAM = {"words": 8, "seed": 7, "netscope": True}
 
 
 def _netscope(tmp_path, tag, *extra):
-    heat = tmp_path / f"heat_{tag}.json"
-    counters = tmp_path / f"counters_{tag}.json"
-    cut = tmp_path / f"cut_{tag}.json"
-    rc = main(["netscope", "--workload", "faults_stream",
-               "--words", "8", "--seed", "7",
-               "--heatmap-out", str(heat),
-               "--counters-out", str(counters),
-               "--slice-cut-out", str(cut),
-               *extra])
-    return rc, heat, counters, cut
+    out = tmp_path / tag
+    rc = main(["run", "faults_stream", "--params", json.dumps(STREAM),
+               "--out", str(out), *extra])
+    return (rc, out / "heatmap.json", out / "counters.json",
+            out / "slice_cut.json")
 
 
 class TestNetscopeCli:
@@ -59,17 +57,20 @@ class TestNetscopeCli:
         assert resumed.read_bytes() == reference.read_bytes()
 
     def test_json_mode_emits_the_heatmap(self, tmp_path, capsys):
-        assert main(["netscope", "--workload", "faults_stream",
-                     "--words", "6", "--seed", "0", "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        heatmap = document["heatmap"]
+        """report.json, the machine-readable output, holds the heat map."""
+        params = {"words": 6, "seed": 0, "netscope": True}
+        assert main(["run", "faults_stream", "--params", json.dumps(params),
+                     "--out", str(tmp_path)]) == 0
+        heatmap = json.loads((tmp_path / "report.json").read_text())[
+            "netscope"]
         assert heatmap["schema"] == "netscope-heatmap/1"
         blocked = heatmap["blocked"]
         assert blocked["total_ps"] == sum(blocked["by_cause"].values())
+        assert heatmap == json.loads((tmp_path / "heatmap.json").read_text())
 
     def test_ascii_overlay_renders(self, tmp_path, capsys):
-        assert main(["netscope", "--workload", "demo",
-                     "--slices-x", "2", "--seed", "0", "--ascii"]) == 0
+        params = {"slices_x": 2, "seed": 0, "netscope": True}
+        assert main(["run", "demo", "--params", json.dumps(params)]) == 0
         out = capsys.readouterr().out
         assert "heat ramp" in out
         assert "slice cut:" in out
@@ -77,9 +78,11 @@ class TestNetscopeCli:
 
 class TestTopoHeat:
     def test_heat_overlay_is_deterministic(self, capsys):
-        assert main(["topo", "--heat", "--seed", "3"]) == 0
+        """The demo's netscope heat overlay on stdout is deterministic."""
+        params = json.dumps({"seed": 3, "netscope": True})
+        assert main(["run", "demo", "--params", params]) == 0
         first = capsys.readouterr().out
-        assert main(["topo", "--heat", "--seed", "3"]) == 0
+        assert main(["run", "demo", "--params", params]) == 0
         assert capsys.readouterr().out == first
         assert "heat ramp" in first
 

@@ -2,9 +2,9 @@
 
 Covers the three ledger layers: PerfRecord/PerfHistory roundtrips, the
 rolling-baseline regression detector (no-change, improvement, and the
-synthetic 2x slowdown that must fire), and RunHeartbeat — including the
-byte-identity property: two same-seed runs emit identical deterministic
-heartbeat cores.
+synthetic 2x slowdown that must fire), and RunHeartbeat driven by
+ResumableRun — including the byte-identity property: two same-seed runs
+emit identical deterministic heartbeat cores.
 """
 
 import json
@@ -15,7 +15,6 @@ from repro.checkpoint import (
     CheckpointPolicy,
     CheckpointStore,
     ResumableRun,
-    build_workload,
 )
 from repro.obs.perf import (
     WALL_FIELDS,
@@ -29,7 +28,6 @@ from repro.obs.perf import (
     records_from_profile,
     render_history_report,
 )
-from repro.sim import Simulator
 from repro.sim.engine import KERNEL_STATS
 
 
@@ -180,39 +178,31 @@ class TestHeartbeatCore:
 
 
 class TestRunHeartbeat:
-    def ticker_sim(self, n=100):
-        sim = Simulator()
-        state = {"left": n}
-
-        def tick():
-            state["left"] -= 1
-            if state["left"]:
-                sim.schedule(sim.now + 1_000, tick)
-
-        sim.schedule(0, tick)
-        return sim
+    """Heartbeats beat from ResumableRun's drive loop."""
 
     def test_cadence_and_final_beat(self, tmp_path):
         out = tmp_path / "hb.jsonl"
-        heartbeat = RunHeartbeat(25, out=out)
-        executed = heartbeat.drive(self.ticker_sim(100))
-        assert executed == 100
-        # 3 mid-run beats (25/50/75) + the final closing beat; the beat
-        # at event 100 is the final one because the queue drained.
+        heartbeat = RunHeartbeat(2500, out=out)
+        run = ResumableRun("demo")
+        run.run(heartbeat=heartbeat)
+        total = run.context.system.sim.events_processed
+        assert total == run.events_fresh and total % 2500
+        # Mid-run beats at 2500, 5000, ... plus the final closing beat.
+        assert [line["events"] for line in heartbeat.lines] == [
+            *range(2500, total, 2500), total]
         assert heartbeat.lines[-1]["final"] is True
         assert all(not line["final"] for line in heartbeat.lines[:-1])
-        assert heartbeat.lines[-1]["events"] == 100
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(lines) == heartbeat.beats
-        assert lines[0]["events"] == 25
+        assert lines[0]["events"] == 2500
 
     def test_every_events_validated(self):
         with pytest.raises(ValueError):
             RunHeartbeat(0)
 
     def test_wall_fields_present_but_outside_core(self):
-        heartbeat = RunHeartbeat(50)
-        heartbeat.drive(self.ticker_sim(60))
+        heartbeat = RunHeartbeat(5000)
+        ResumableRun("demo").run(heartbeat=heartbeat)
         line = heartbeat.lines[0]
         assert "wall_s" in line and "events_per_sec" in line
         assert "wall_s" not in heartbeat_core(line)
@@ -222,11 +212,10 @@ class TestRunHeartbeat:
         byte-identical heartbeat JSONL once wall fields are stripped."""
         cores = []
         for _ in range(2):
-            context = build_workload(
-                "faults_stream", {"words": 12, "seed": 3})
+            run = ResumableRun("faults_stream", {"words": 12, "seed": 3})
             heartbeat = RunHeartbeat(
-                500, metrics=context.system.metrics)
-            heartbeat.drive(context.system.sim)
+                500, metrics=run.context.system.metrics)
+            run.run(heartbeat=heartbeat)
             assert heartbeat.beats >= 2
             cores.append(heartbeat.core_jsonl())
         assert cores[0] == cores[1]

@@ -92,13 +92,14 @@ class TestPerfCli:
 class TestHeartbeatCli:
     def faults_heartbeat(self, out):
         assert main([
-            "faults", "--words", "12", "--seed", "3",
-            "--heartbeat-every", "500", "--heartbeat-out", str(out),
+            "run", "faults_stream", "--params", '{"words": 12, "seed": 3}',
+            "--heartbeat-every", "500", "--out", str(out),
         ]) == 0
-        return [json.loads(line) for line in out.read_text().splitlines()]
+        beats = (out / "heartbeat.jsonl").read_text()
+        return [json.loads(line) for line in beats.splitlines()]
 
     def test_heartbeat_jsonl_byte_identical_modulo_wall(self, tmp_path):
-        runs = [self.faults_heartbeat(tmp_path / f"hb{i}.jsonl")
+        runs = [self.faults_heartbeat(tmp_path / f"hb{i}")
                 for i in range(2)]
         assert len(runs[0]) >= 2
         assert runs[0][-1]["final"] is True

@@ -72,12 +72,10 @@ class TestObservabilityDeterminism:
 
     @staticmethod
     def _run_demo(seed: int):
-        from repro.__main__ import _demo_workload
-        from repro import SwallowSystem
+        from repro.checkpoint import build_workload
 
-        system = SwallowSystem()
+        system = build_workload("demo", {"seed": seed}).system
         recorder = system.trace()
-        _demo_workload(system, seed=seed)
         system.run()
         return system, recorder
 

@@ -63,14 +63,6 @@ class TestExamples:
         assert "rollback #1" in out
         assert "24/24 words delivered, intact" in out
 
-    def test_farm_dse_sweep(self, capsys):
-        out = run_example("farm_dse_sweep", capsys)
-        assert "simulated 8 jobs, 0 cache hits" in out
-        assert "pareto" in out
-        assert "K" in out  # knee of the energy-vs-time front
-        assert "8 cache hits (100% hit rate)" in out
-        assert "cached results identical to simulated ones: True" in out
-
     def test_dse_pareto(self, capsys):
         out = run_example("dse_pareto", capsys)
         assert "6 design points" in out
