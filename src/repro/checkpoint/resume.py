@@ -184,7 +184,9 @@ class ResumableRun:
         The event whose callback raises (a :class:`RollbackSignal`)
         is not counted as executed.  Returns events executed by this
         call.  Stops when the queue drains or (setting :attr:`killed`)
-        after ``kill_after_events``.
+        once :attr:`events_fresh` reaches ``kill_after_events``: the
+        kill point counts the run's fresh events, so a rollback (which
+        calls this again) does not restart it.
         """
         sim = self.context.system.sim
         heartbeat = self._heartbeat
@@ -208,7 +210,7 @@ class ResumableRun:
                 if self._next_events_mark is not None:
                     gaps.append(self._next_events_mark - sim.events_processed)
                 if kill_after_events is not None:
-                    gaps.append(kill_after_events - executed)
+                    gaps.append(kill_after_events - self.events_fresh)
                 before = sim.events_processed
                 try:
                     ran = sim._drain(
@@ -242,7 +244,7 @@ class ResumableRun:
                     self._next_events_mark += self.policy.every_events
                 if (
                     kill_after_events is not None
-                    and executed >= kill_after_events
+                    and self.events_fresh >= kill_after_events
                     and sim.next_event_time() is not None
                 ):
                     self.killed = True

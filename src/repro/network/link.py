@@ -69,6 +69,8 @@ class HalfLink:
         #: encoding protects them), only payload data tokens.
         self.fault_hook: FaultHook | None = None
         self._inflight: "EventHandle | None" = None
+        #: The token :attr:`_inflight` delivers (None: it was dropped).
+        self._inflight_token: Token | None = None
         self._sent_since_seize = 0
         #: Optional trace sink (set via SwallowFabric.set_tracer).
         self.tracer: "TraceRecorder | None" = None
@@ -123,6 +125,7 @@ class HalfLink:
         if self.busy and self._inflight is not None:
             self._inflight.cancel()
             self._inflight = None
+            self._inflight_token = None
             self.busy = False
             self.credits += 1
             self.tokens_dropped += 1
@@ -149,7 +152,7 @@ class HalfLink:
         """True when a token can be launched right now."""
         return not self.busy and self.credits > 0
 
-    def send(self, token: Token, on_done: Callable[[], None] | None = None) -> None:
+    def send(self, token: Token) -> None:
         """Launch one token; it arrives after the serialization time.
 
         A flaky-link :attr:`fault_hook` may drop or corrupt *payload*
@@ -199,38 +202,30 @@ class HalfLink:
             if self.tracer is not None:
                 self.tracer.record(self.sim.now, self.name, "token_dropped",
                                    str(token))
-            self._inflight = self.sim.schedule(
-                self.token_time_ps, lambda: self._dropped(on_done)
-            )
-            return
-        if outcome is not token:
-            self.tokens_corrupted += 1
+        else:
+            if outcome is not token:
+                self.tokens_corrupted += 1
+                if self.tracer is not None:
+                    self.tracer.record(self.sim.now, self.name,
+                                       "token_corrupted", str(token),
+                                       str(outcome))
             if self.tracer is not None:
-                self.tracer.record(self.sim.now, self.name, "token_corrupted",
-                                   str(token), str(outcome))
-        delivered = outcome
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, self.name, "token", str(delivered))
-        self._inflight = self.sim.schedule(
-            self.token_time_ps, lambda: self._delivered(delivered, on_done)
-        )
+                self.tracer.record(self.sim.now, self.name, "token",
+                                   str(outcome))
+        self._inflight_token = outcome
+        self._inflight = self.sim.schedule(self.token_time_ps, self._arrive)
 
-    def _delivered(self, token: Token, on_done: Callable[[], None] | None) -> None:
+    def _arrive(self) -> None:
+        """The in-flight token finished serializing: deliver it to the
+        far buffer, or, when a flaky link lost it, refund its credit."""
+        token = self._inflight_token
+        self._inflight_token = None
         self.busy = False
         self._inflight = None
-        self.sink.accept(token)
-        if on_done is not None:
-            on_done()
-        if self.holder is not None:
-            self.holder.pump()
-
-    def _dropped(self, on_done: Callable[[], None] | None) -> None:
-        """A flaky link finished serializing a token that was lost."""
-        self.busy = False
-        self._inflight = None
-        self.credits += 1          # the far buffer never received it
-        if on_done is not None:
-            on_done()
+        if token is None:
+            self.credits += 1      # the far buffer never received it
+        else:
+            self.sink.accept(token)
         if self.holder is not None:
             self.holder.pump()
 

@@ -122,11 +122,12 @@ class InputPort:
     # -- routing engine --------------------------------------------------------
 
     def pump(self) -> None:
-        """Schedule the forwarding engine (coalesced within one event)."""
+        """Run the forwarding engine after the events already due now
+        (coalesced within one event), from the kernel's same-time lane."""
         if self._pump_pending:
             return
         self._pump_pending = True
-        self.switch.sim.schedule(0, self._run)
+        self.switch.sim.call_soon(self._run)
 
     def granted_link(self, link: HalfLink) -> None:
         """A queued allocation was granted by a closing route."""

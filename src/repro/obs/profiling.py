@@ -54,7 +54,7 @@ def callback_source(callback: Callable[[], None]) -> str:
 
     Bound methods name their class (``InputPort._run``); plain functions
     and lambdas use their qualified name with the ``<locals>`` noise
-    stripped (``HalfLink.send.<lambda>``).
+    stripped (``FaultCampaign._inject.<lambda>``).
     """
     bound_self = getattr(callback, "__self__", None)
     if bound_self is not None:
@@ -71,7 +71,7 @@ def _key_source(key: Any) -> str:
     """Resolve a hot-path event key (usually a code object) to a name.
 
     Code objects carry their qualified name (``XCore._tick``,
-    ``HalfLink.send.<locals>.<lambda>``); callables without a code
+    ``FaultCampaign._inject.<locals>.<lambda>``); callables without a code
     object were keyed by the callable itself and fall back to
     :func:`callback_source`.
     """
@@ -280,6 +280,7 @@ class SimProfiler:
         self._depth_every = depth_timeline_every
         self._meta_capacity = meta_capacity
         self._queue_ref: list | None = None
+        self._lane_ref: Any = ()
         #: Run-length-encoded (key, count) pairs pending aggregation
         #: into _counts.  Consecutive events usually share a callback
         #: (a core's tick loop), so the common hot-path case is a
@@ -300,9 +301,11 @@ class SimProfiler:
         self._meta: list[tuple[float, float, Any]] = []
         self._meta_dropped = 0
 
-    def attach_queue(self, queue: list) -> None:
-        """Let the profiler sample queue depth from the live event heap."""
+    def attach_queue(self, queue: list, lane: Any) -> None:
+        """Let the profiler sample queue depth from the live event heap
+        and same-time lane (their lengths summed)."""
         self._queue_ref = queue
+        self._lane_ref = lane
 
     def after_event(self, key: Any, started: float) -> None:
         """A wall-sampled event's callback, keyed ``key`` and started at
@@ -322,7 +325,8 @@ class SimProfiler:
             self._meta_dropped += 1
         if n % self._depth_every == 0 and self._queue_ref is not None:
             self._depth_timeline.append(
-                (n * self._sample_every, len(self._queue_ref))
+                (n * self._sample_every,
+                 len(self._queue_ref) + len(self._lane_ref))
             )
         if len(self._buf) >= _FOLD_THRESHOLD:
             self._fold()

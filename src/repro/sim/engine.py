@@ -6,11 +6,14 @@ switches and the energy-measurement ADC all schedule callbacks here.
 
 The sequence number makes event ordering total and deterministic: events
 scheduled earlier run earlier when timestamps tie, so a simulation is a
-pure function of its configuration.
+pure function of its configuration.  Callbacks due *now* can skip the
+heap: :meth:`Simulator.call_soon` queues them in a FIFO lane that takes
+its place in the same ``(time, seq)`` order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -125,6 +128,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._queue: list[tuple[int, int, EventHandle]] = []
+        #: The same-time lane: ``(seq, callback)`` pairs due at ``_now``,
+        #: in seq order (see :meth:`call_soon`).
+        self._lane: deque[tuple[int, Callable[[], None]]] = deque()
         self._seq = 0
         self._now = 0
         self._events_processed = 0
@@ -144,12 +150,14 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of queued (non-cancelled) events."""
-        return sum(1 for _, _, event in self._queue if not event.cancelled)
+        """Number of queued (non-cancelled) events, the lane's included."""
+        return (sum(1 for _, _, event in self._queue if not event.cancelled)
+                + len(self._lane))
 
     @property
     def queue_depth_high_water(self) -> int:
-        """The deepest the event queue has ever been (cancelled included)."""
+        """The deepest the event queue and lane have ever been together
+        (cancelled entries included)."""
         return self._queue_hwm
 
     def schedule(self, delay_ps: int, callback: Callable[[], None]) -> EventHandle:
@@ -168,72 +176,122 @@ class Simulator:
         queue = self._queue
         heappush(queue, (time_ps, self._seq, event))
         self._seq += 1
-        if len(queue) > self._queue_hwm:
-            self._queue_hwm = len(queue)
+        depth = len(queue) + len(self._lane)
+        if depth > self._queue_hwm:
+            self._queue_hwm = depth
         return event
+
+    def call_soon(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at the current time, after every event already due.
+
+        It runs exactly where ``schedule(0, callback)`` would run it —
+        the call takes the next sequence number, and the drain loop
+        orders the lane against the heap by ``(time, seq)`` — and it
+        counts as an executed event, but it costs no
+        :class:`EventHandle` and no heap entry, so it cannot be
+        cancelled.  The lane counts towards :attr:`pending_events` and
+        the queue high-water mark like the heap entry it replaces.
+        """
+        lane = self._lane
+        lane.append((self._seq, callback))
+        self._seq += 1
+        depth = len(self._queue) + len(lane)
+        if depth > self._queue_hwm:
+            self._queue_hwm = depth
 
     def next_event_time(self) -> int | None:
         """Firing time of the next pending event, or None when idle.
 
         Skims cancelled events off the head of the queue as a side
-        effect, so checkpoint policies can peek without perturbing the
-        execution trajectory.
+        effect, exactly where the drain loop would discard them (never
+        past a lane entry with a lower seq), so checkpoint policies can
+        peek without perturbing the execution trajectory.
         """
         queue = self._queue
+        lane = self._lane
         while queue:
-            time_ps, _, event = queue[0]
+            time_ps, seq, event = queue[0]
+            if lane and (time_ps > self._now or seq > lane[0][0]):
+                return self._now
             if not event.cancelled:
                 return time_ps
             heappop(queue)
             if self._profiler is not None:
                 self._profiler.on_cancelled_pop()
-        return None
+        return self._now if lane else None
 
     def _drain(self, until_ps: int | None = None, max_events: int | None = None) -> int:
         """The event loop: fire queued events in ``(time, seq)`` order.
 
-        Stops when the queue is empty, when the next event lies after
-        ``until_ps``, or once ``max_events`` events have fired; cancelled
-        events are discarded as they reach the head.  An armed handle
-        (``repeat > 0``) fires silently: it counts as an executed event
-        and is re-queued one ``period`` later under the next sequence
-        number, without a call (see :class:`EventHandle`).  Returns the
-        number of events fired.  The loop's state lives in locals, and
-        the call branches once on whether a profiler is installed: the
-        profiled branch also keeps the profiler's run-length event
-        ledger, with its state hoisted into locals too — silent firings
-        are ledgered under their callback's key — and wall-times every
-        ``wall_sample_every``-th event.  Its per-event cost is what
+        Stops when the heap and the lane are both empty, when the next
+        event lies after ``until_ps``, or once ``max_events`` events
+        have fired; cancelled events are discarded as they reach the
+        head.  Each turn takes the lane's head when the heap's head is
+        later or has a higher seq (a lane entry's time is always
+        ``now``), else pops the heap; lane runs and heap events share
+        the rest of the body (unprofiled, a silent firing takes a
+        shortcut past the call).
+        An armed handle (``repeat > 0``) fires silently: it counts as an
+        executed event and is re-queued one ``period`` later under the
+        next sequence number, without a call (see :class:`EventHandle`).
+        Returns the number of events fired.  The loop's state lives in
+        locals, and the call branches once on whether a profiler is
+        installed: the profiled branch also keeps the profiler's
+        run-length event ledger, with its state hoisted into locals too
+        — silent firings and lane runs are ledgered under their
+        callback's key — and wall-times every ``wall_sample_every``-th
+        event.  Its per-event cost is what
         ``benchmarks/bench_observer_overhead.py`` budgets.
+
+        Both loops are ``while True:`` with every exit a ``break``: on
+        CPython 3.11 a conditional loop test compiles to a
+        ``POP_JUMP_BACKWARD_IF_*`` back-edge, which does not count
+        toward quickening, and this function is entered too rarely for
+        its entries alone to specialise it
+        (``tests/sim/test_engine_properties.py``).
         """
         if max_events is not None and max_events < 1:
             return 0
         queue = self._queue
+        lane = self._lane
         pop = heappop
         push = heappush
+        take = lane.popleft
         until = inf if until_ps is None else until_ps
         limit = -1 if max_events is None else max_events
         executed = 0
         profiler = self._profiler
         if profiler is None:
             try:
-                while queue:
-                    entry = pop(queue)
-                    event = entry[2]
-                    if event.cancelled:
-                        continue
-                    if entry[0] > until:
-                        push(queue, entry)
-                        break
-                    self._now = entry[0]
-                    executed += 1
-                    if event.repeat:
-                        event.repeat -= 1
-                        push(queue, (entry[0] + event.period, self._seq, event))
-                        self._seq += 1
+                while True:
+                    if lane and (not queue or queue[0][1] > lane[0][0]
+                                 or queue[0][0] > self._now):
+                        if self._now > until:
+                            break
+                        callback = take()[1]
                     else:
+                        if not queue:
+                            break
+                        entry = pop(queue)
+                        event = entry[2]
+                        if event.cancelled:
+                            continue
+                        if entry[0] > until:
+                            push(queue, entry)
+                            break
+                        self._now = entry[0]
+                        if event.repeat:
+                            event.repeat -= 1
+                            push(queue, (entry[0] + event.period, self._seq, event))
+                            self._seq += 1
+                            executed += 1
+                            if executed == limit:
+                                break
+                            continue
                         event.executed = True
-                        event.callback()
+                        callback = event.callback
+                    executed += 1
+                    callback()
                     if executed == limit:
                         break
             finally:
@@ -252,48 +310,56 @@ class Simulator:
         run_start = -profiler._rle_count
         cancelled = 0
         try:
-            while queue:
-                entry = pop(queue)
-                event = entry[2]
-                if event.cancelled:
-                    cancelled += 1
-                    continue
-                if entry[0] > until:
-                    push(queue, entry)
-                    break
-                self._now = entry[0]
+            while True:
+                if lane and (not queue or queue[0][1] > lane[0][0]
+                             or queue[0][0] > self._now):
+                    if self._now > until:
+                        break
+                    callback = take()[1]
+                    silent = False
+                else:
+                    if not queue:
+                        break
+                    entry = pop(queue)
+                    event = entry[2]
+                    if event.cancelled:
+                        cancelled += 1
+                        continue
+                    if entry[0] > until:
+                        push(queue, entry)
+                        break
+                    self._now = entry[0]
+                    callback = event.callback
+                    silent = event.repeat
+                    if silent:
+                        event.repeat -= 1
+                        push(queue, (entry[0] + event.period, self._seq, event))
+                        self._seq += 1
+                    else:
+                        event.executed = True
                 executed += 1
                 try:
-                    key = event.callback.__code__
+                    key = callback.__code__
                 except AttributeError:  # a callable object: key by itself
-                    key = event.callback
+                    key = callback
                 if key is not last_key:
                     if executed - 1 > run_start:
                         buf.append((last_key, executed - 1 - run_start))
                     last_key = key
                     run_start = executed - 1
-                if event.repeat:
-                    event.repeat -= 1
-                    push(queue, (entry[0] + event.period, self._seq, event))
-                    self._seq += 1
-                    if executed != mark:
-                        continue
-                    if executed == next_sample:
-                        # A silent firing on a sample mark is a sample.
-                        next_sample += stride
-                        after_event(key, perf_counter())
-                else:
-                    event.executed = True
-                    if executed != mark:
-                        event.callback()
-                        continue
-                    if executed == next_sample:
-                        next_sample += stride
-                        started = perf_counter()
-                        event.callback()
-                        after_event(key, started)
-                    else:
-                        event.callback()
+                if executed != mark:
+                    if not silent:
+                        callback()
+                    continue
+                if executed == next_sample:
+                    # A silent firing on a sample mark is a sample.
+                    next_sample += stride
+                    started = perf_counter()
+                    if not silent:
+                        callback()
+                    after_event(key, started)
+                elif not silent:
+                    callback()
                 if executed == limit:
                     break
                 mark = next_sample if limit < 0 else min(next_sample, limit)
@@ -378,7 +444,7 @@ class Simulator:
         from repro.obs.profiling import SimProfiler
 
         profiler = SimProfiler(**profiler_options)
-        profiler.attach_queue(self._queue)
+        profiler.attach_queue(self._queue, self._lane)
         dropped_before = tracer.dropped if tracer is not None else 0
         seq_before = self._seq
         now_before = self._now
@@ -473,7 +539,7 @@ class Process:
         self.name = name
         self.finished = False
         self.result: Any = None
-        sim.schedule(0, self._resume)
+        sim.call_soon(self._resume)
 
     def _resume(self) -> None:
         if self.finished:

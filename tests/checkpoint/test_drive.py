@@ -66,7 +66,7 @@ class StepRun(ResumableRun):
                     self._next_events_mark += self.policy.every_events
                 if (
                     kill_after_events is not None
-                    and executed >= kill_after_events
+                    and self.events_fresh >= kill_after_events
                     and sim.next_event_time() is not None
                 ):
                     self.killed = True
@@ -96,6 +96,11 @@ SCENARIOS = {
     "rollback-restart": (*WATCHDOG, {"every_us": 6.0, "retain": 1}, 400,
                          None),
     "rollback-then-kill": (*WATCHDOG, {"every_events": 2000}, 300, 2500),
+    # The CLI's `run watchdog_stream --checkpoint-every 400
+    # --kill-after-events 2000`: the rollback comes before event 2000,
+    # and the kill still fires on the run's 2000th fresh event.
+    "rollback-kill-counts-fresh": (*WATCHDOG, {"every_events": 400}, None,
+                                   2000),
     "policy-kills": ("policy_rt", {"policy": "kfault", "k": 1, "kills": 1,
                                    "tasks": 8, "kill_from_us": 5.0},
                      {"every_events": 9000, "every_us": 7.0}, 5000, 30000),
@@ -160,13 +165,14 @@ def test_scenarios_exercise_what_they_name(tmp_path):
         outcomes[name] = [json.loads(a["recovery"])
                           for a in observed["attempts"]]
     for name in ("rollback-to-checkpoint", "rollback-restart",
-                 "rollback-then-kill"):
+                 "rollback-then-kill", "rollback-kill-counts-fresh"):
         assert outcomes[name][0]["rollbacks"] == 1, name
     assert outcomes["rollback-to-checkpoint"][0]["attempts"][0][
         "resumed_from"] is not None
     assert outcomes["rollback-restart"][0]["attempts"][0][
         "resumed_from"] is None
     for name in ("shared-marks-kill", "kill-resume", "time-cadence-kill",
-                 "rollback-then-kill", "policy-kills"):
+                 "rollback-then-kill", "rollback-kill-counts-fresh",
+                 "policy-kills"):
         assert [o["outcome"] for o in outcomes[name]] == \
             ["killed", "completed"], name

@@ -87,13 +87,15 @@ class TestResumeGuard:
         assert "'faults_stream'" in capsys.readouterr().err
 
     def test_accepts_the_masked_a_rollback_added(self, tmp_path, capsys):
-        # The livelocked stream rolls back after about 2000 fresh
-        # events, before its first checkpoint, so it restarts masked
-        # from t=0; the kill lands after the rollback, so the newest
-        # bundle's params carry "masked" and the command's do not.
+        # The livelocked stream rolls back after 1990 fresh events,
+        # before its first checkpoint, so it restarts masked from t=0;
+        # the kill point counts fresh events across the rollback and
+        # lands 2510 events into the restart, after its first bundle,
+        # so the newest bundle's params carry "masked" and the
+        # command's do not.
         params = {"words": 24, "seed": 0}
         store = self.killed_store(tmp_path, "watchdog_stream", params,
-                                  every=2000, kill=2500)
+                                  every=2000, kill=4500)
         capsys.readouterr()
         newest = CheckpointStore(store).latest()
         assert newest.setup["params"] == dict(params, masked=[0])
