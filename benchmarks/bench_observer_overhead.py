@@ -19,8 +19,8 @@ convention of taking the minimum.
 
 The observed configuration must stay within the 10 % overhead budget;
 the measured delta is printed and written to
-``benchmarks/out/observer_overhead.txt`` so the number rides along with
-every bench run (and lands in the perf-history ledger via conftest).
+``benchmarks/out/observer_overhead.txt``, which git ignores because it
+holds host timings.
 """
 
 import time
@@ -139,8 +139,8 @@ def test_observer_overhead(report_table):
         notes=(
             f"best of {ROUNDS}-{MAX_ROUNDS} interleaved rounds per "
             f"configuration (extended adaptively while over budget); "
-            f"budget {OVERHEAD_BUDGET:.0%}. Kernel events/sec numbers "
-            "elsewhere in the profile are trustworthy only while this "
+            f"budget {OVERHEAD_BUDGET:.0%}. A profiled or traced run "
+            "measures the simulator, not its probes, only while this "
             "overhead stays small."
         ),
     )

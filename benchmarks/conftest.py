@@ -5,112 +5,15 @@ prints it and writes it to ``benchmarks/out/<name>.txt`` so results
 survive pytest's output capture.  Rows typically carry a paper value, a
 measured/computed value, and their ratio.
 
-A kernel profile of the simulator itself (events executed, events/sec,
-wall time per bench) is maintained in
-``benchmarks/out/bench_profile.json`` from the kernel's global
-``KERNEL_STATS`` ledger.  The file is **merged across sessions**: a run
-of one bench updates that bench's row and leaves every other bench's
-row in place, so the profile always covers every bench ever run instead
-of only the most recent subset.  Deterministically *replayed* events
-(checkpoint restore/rollback reconstruction) are reported separately
-and never counted in events/sec.
-
-Each session also appends its rows to the append-only perf-history
-ledger (``benchmarks/out/perf_history.jsonl`` — see
-:mod:`repro.obs.perf`), building the throughput trajectory that
-``python -m repro perf compare`` gates against.  Point the
-``REPRO_PERF_HISTORY`` environment variable at another path to redirect
-the append, or set it to an empty string to disable it.
+The simulator's own speed is measured by the end-to-end benchmark
+(``benchmarks/e2e``), not here.
 """
 
-import json
-import os
-import subprocess
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.sim.engine import KERNEL_STATS
-
 OUT_DIR = Path(__file__).parent / "out"
-
-#: Per-test kernel profile rows collected by the hookwrapper below.
-_PROFILE_ROWS: list[dict] = []
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    """Attribute kernel events and wall time to each benchmark test."""
-    events_before = KERNEL_STATS.events_executed
-    replayed_before = KERNEL_STATS.events_replayed
-    wall_before = time.perf_counter()
-    yield
-    wall_s = time.perf_counter() - wall_before
-    events = KERNEL_STATS.events_executed - events_before
-    replayed = KERNEL_STATS.events_replayed - replayed_before
-    _PROFILE_ROWS.append({
-        "test": item.nodeid.split("::", 1)[-1] if "::" in item.nodeid else item.nodeid,
-        "file": item.nodeid.split("::", 1)[0],
-        "events": events,
-        "events_replayed": replayed,
-        "wall_s": round(wall_s, 6),
-        "events_per_sec": round(events / wall_s) if wall_s > 0 else 0,
-    })
-
-
-def _bench_git_sha() -> str:
-    """Best-effort short SHA for ledger rows (process edge)."""
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=5,
-            cwd=Path(__file__).parent,
-        )
-        if result.returncode == 0:
-            return result.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    sha = os.environ.get("GITHUB_SHA", "")
-    return sha[:12] if sha else "unknown"
-
-
-def pytest_sessionfinish(session):
-    """Merge this session's kernel profile and append it to the ledger."""
-    if not _PROFILE_ROWS:
-        return
-    OUT_DIR.mkdir(exist_ok=True)
-    profile_path = OUT_DIR / "bench_profile.json"
-    merged: dict[tuple, dict] = {}
-    if profile_path.exists():
-        try:
-            previous = json.loads(profile_path.read_text())
-        except (OSError, ValueError):
-            previous = {}
-        for row in previous.get("benches", []):
-            merged[(row["file"], row["test"])] = row
-    for row in _PROFILE_ROWS:
-        merged[(row["file"], row["test"])] = row
-    rows = sorted(merged.values(), key=lambda r: -r["events"])
-    doc = {
-        "events_total": sum(r["events"] for r in rows),
-        "wall_s_total": round(sum(r["wall_s"] for r in rows), 6),
-        "benches": rows,
-    }
-    profile_path.write_text(json.dumps(doc, indent=2) + "\n")
-
-    history_path = os.environ.get(
-        "REPRO_PERF_HISTORY", str(OUT_DIR / "perf_history.jsonl")
-    )
-    if not history_path:
-        return
-    from repro.obs.perf import PerfHistory, records_from_profile
-
-    PerfHistory(history_path).extend(records_from_profile(
-        {"benches": _PROFILE_ROWS},
-        timestamp=round(time.time(), 3),
-        git_sha=_bench_git_sha(),
-    ))
 
 
 def format_table(title: str, headers: list[str], rows: list[list], notes: str = "") -> str:

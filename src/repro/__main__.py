@@ -27,12 +27,10 @@ Commands:
   result cache instead of re-simulating);
 * ``dse`` — design-space exploration sweeps through the farm and
   their Pareto fronts;
-* ``policies`` — the scheduler/DVFS policy-zoo ablation;
-* ``perf`` — the kernel performance observatory: ``record`` appends
-  bench-profile rows to the append-only perf-history ledger,
-  ``compare`` gates current numbers against the ledger's rolling
-  baselines (non-zero exit on regression), ``report`` prints the
-  per-bench trajectory.
+* ``policies`` — the scheduler/DVFS policy-zoo ablation.
+
+The simulator's own speed is measured outside the CLI, by the
+end-to-end benchmark (``benchmarks/e2e/run.py`` and ``compare.py``).
 """
 
 from __future__ import annotations
@@ -128,8 +126,6 @@ def cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Checkpoints kept in a run's retained set and in its bundle store.
-RETAIN = 3
 #: ``--observe profile`` wall-times one kernel event in this many.
 PROFILE_SAMPLE_EVERY = 4
 #: What ``--observe`` attaches.
@@ -193,11 +189,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     policy = None
     if args.checkpoint_every is not None:
-        policy = CheckpointPolicy(every_events=args.checkpoint_every,
-                                  retain=RETAIN)
+        policy = CheckpointPolicy(every_events=args.checkpoint_every)
     store = None
     if args.checkpoint_dir:
-        store = CheckpointStore(args.checkpoint_dir, retain=RETAIN)
+        store = CheckpointStore(args.checkpoint_dir)
     try:
         run = ResumableRun.open(args.workload, params, policy=policy,
                                 store=store)
@@ -304,109 +299,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if document["delivered_ok"] is False else 0
 
 
-def _git_sha() -> str:
-    """The current short commit SHA, best-effort (CLI edge only)."""
-    import os
-    import subprocess
-
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=5,
-        )
-        if result.returncode == 0:
-            return result.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    sha = os.environ.get("GITHUB_SHA", "")
-    return sha[:12] if sha else "unknown"
-
-
-def _load_profile_records(args: argparse.Namespace, min_events: int):
-    """Current PerfRecords from a bench-profile JSON (CLI edge stamps time)."""
-    import time
-
-    from repro.obs.perf import records_from_profile
-
-    try:
-        with open(args.profile, encoding="utf-8") as handle:
-            profile = json.load(handle)
-    except OSError as err:
-        print(f"perf: cannot read bench profile {args.profile}: {err}",
-              file=sys.stderr)
-        return None
-    timestamp = args.timestamp if args.timestamp is not None else time.time()
-    sha = args.sha if args.sha else _git_sha()
-    return records_from_profile(
-        profile, timestamp=timestamp, git_sha=sha, min_events=min_events
-    )
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.obs.perf import (
-        PerfHistory,
-        compare_against_history,
-        render_history_report,
-    )
-
-    history = PerfHistory(args.history)
-    if args.perf_command == "record":
-        records = _load_profile_records(args, args.min_events)
-        if records is None:
-            return 2
-        written = history.extend(records)
-        print(f"appended {written} records to {history.path}")
-        for record in records:
-            print(f"  {record.bench:<60} {record.events_per_sec:>12,.0f} ev/s")
-        return 0
-    if args.perf_command == "compare":
-        records = _load_profile_records(args, 0)
-        if records is None:
-            return 2
-        if not history.path.exists():
-            print(f"perf: no history at {history.path}; record a baseline "
-                  f"first", file=sys.stderr)
-            return 2
-        comparisons, unseen = compare_against_history(
-            history, records,
-            tolerance=args.tolerance, window=args.window,
-            min_events=args.min_events,
-        )
-        regressions = [c for c in comparisons if c.regressed]
-        if args.json:
-            print(json.dumps({
-                "tolerance": args.tolerance,
-                "compared": [
-                    {"bench": c.bench, "baseline_eps": c.baseline_eps,
-                     "current_eps": c.current_eps, "ratio": c.ratio,
-                     "regressed": c.regressed}
-                    for c in comparisons
-                ],
-                "unseen": [r.bench for r in unseen],
-                "regressed": bool(regressions),
-            }, sort_keys=True))
-        else:
-            for comparison in comparisons:
-                print(comparison.render())
-            for record in unseen:
-                print(f"{record.bench:<60} {'(no baseline yet)':>12}")
-            if not comparisons and not unseen:
-                print("perf compare: no benches above the event threshold "
-                      f"({args.min_events}); nothing gated")
-            verdict = (
-                f"{len(regressions)} regression(s) beyond "
-                f"{args.tolerance:.0%} tolerance"
-                if regressions else
-                f"ok: {len(comparisons)} bench(es) within "
-                f"{args.tolerance:.0%} of baseline"
-            )
-            print(verdict)
-        return 1 if regressions else 0
-    # report
-    print(render_history_report(history, window=args.window))
-    return 0
-
-
 def _farm_handles(args: argparse.Namespace):
     """(queue, cache) from the shared farm directory flags."""
     from repro.farm import JobQueue, ResultCache
@@ -457,11 +349,8 @@ def cmd_farm(args: argparse.Namespace) -> int:
             print("farm run: queue is empty; submit a matrix first",
                   file=sys.stderr)
             return 2
-        pool = WorkerPool(
-            queue, cache, num_workers=args.workers,
-            checkpoint_every=args.checkpoint_every, retain=args.retain,
-            heartbeat_every=args.heartbeat_every,
-        )
+        pool = WorkerPool(queue, cache, num_workers=args.workers,
+                          checkpoint_every=args.checkpoint_every)
         report = pool.run(preempt=_parse_preempt(args.preempt))
         document = report.to_dict()
         if args.report_out:
@@ -804,11 +693,6 @@ def main(argv: list[str] | None = None) -> int:
     farm_run.add_argument("--checkpoint-every", type=_positive_int,
                           default=2000, metavar="N",
                           help="per-job checkpoint cadence (kernel events)")
-    farm_run.add_argument("--heartbeat-every", type=_positive_int,
-                          default=2000, metavar="N",
-                          help="per-job heartbeat cadence (kernel events)")
-    farm_run.add_argument("--retain", type=_positive_int, default=3,
-                          help="checkpoints kept per job")
     farm_run.add_argument("--preempt", action="append", default=None,
                           metavar="JOB_ID@EVENTS",
                           help="kill that job's next attempt after N fresh "
@@ -936,60 +820,6 @@ def main(argv: list[str] | None = None) -> int:
     policies.add_argument("--json", action="store_true",
                           help="emit the report as JSON on stdout")
     policies.set_defaults(func=cmd_policies)
-    perf = subparsers.add_parser(
-        "perf",
-        help="performance observatory: perf-history ledger + regression gate",
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    def _perf_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--history",
-                         default="benchmarks/out/perf_history.jsonl",
-                         metavar="PATH",
-                         help="append-only perf-history ledger (JSONL)")
-
-    def _perf_profile_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--profile",
-                         default="benchmarks/out/bench_profile.json",
-                         metavar="PATH",
-                         help="bench profile JSON to read current numbers from")
-        sub.add_argument("--sha", default=None,
-                         help="git SHA to stamp (default: auto-detect)")
-        sub.add_argument("--timestamp", type=float, default=None,
-                         help="unix timestamp to stamp (default: now; "
-                              "timestamps always enter at the process edge)")
-
-    perf_record = perf_sub.add_parser(
-        "record", help="append the bench profile's rows to the ledger"
-    )
-    _perf_common(perf_record)
-    _perf_profile_flags(perf_record)
-    perf_record.add_argument("--min-events", type=int, default=0,
-                             help="skip benches with fewer kernel events")
-    perf_compare = perf_sub.add_parser(
-        "compare",
-        help="gate current numbers against rolling baselines "
-             "(exit 1 on regression)",
-    )
-    _perf_common(perf_compare)
-    _perf_profile_flags(perf_compare)
-    perf_compare.add_argument("--tolerance", type=float, default=0.30,
-                              help="allowed fractional events/sec loss "
-                                   "before the gate fires (default 0.30)")
-    perf_compare.add_argument("--window", type=_positive_int, default=5,
-                              help="rolling-baseline window (records)")
-    perf_compare.add_argument("--min-events", type=int, default=10_000,
-                              help="only gate benches with at least this "
-                                   "many kernel events")
-    perf_compare.add_argument("--json", action="store_true",
-                              help="emit the comparison as JSON")
-    perf_report = perf_sub.add_parser(
-        "report", help="print the per-bench performance trajectory"
-    )
-    _perf_common(perf_report)
-    perf_report.add_argument("--window", type=_positive_int, default=5,
-                             help="rolling-baseline window (records)")
-    perf.set_defaults(func=cmd_perf)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

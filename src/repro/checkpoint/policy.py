@@ -24,6 +24,11 @@ from repro.checkpoint.snapshot import CheckpointError, Snapshot
 #: the retained set.
 BUNDLE_NAME = re.compile(r"^checkpoint-(\d{12})\.json$")
 
+#: Snapshots kept when nothing says otherwise: the default of
+#: :attr:`CheckpointPolicy.retain` and of a :class:`CheckpointStore`,
+#: and what a run without a policy keeps.
+DEFAULT_RETAIN = 3
+
 
 @dataclass(frozen=True)
 class CheckpointPolicy:
@@ -37,7 +42,7 @@ class CheckpointPolicy:
     every_us: float | None = None
     #: Retained snapshots; older ones are pruned (rollback can only
     #: reach this far back).
-    retain: int = 3
+    retain: int = DEFAULT_RETAIN
 
     def __post_init__(self) -> None:
         if self.every_events is None and self.every_us is None:
@@ -64,7 +69,7 @@ class CheckpointStore:
     exactly what a farm worker resuming a migrated job relies on.
     """
 
-    def __init__(self, directory, retain: int = 3):
+    def __init__(self, directory, retain: int = DEFAULT_RETAIN):
         if retain < 1:
             raise ValueError("retain must be >= 1")
         self.directory = Path(directory)

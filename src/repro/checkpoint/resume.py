@@ -35,12 +35,15 @@ from __future__ import annotations
 
 import json
 
-from repro.checkpoint.policy import CheckpointPolicy, CheckpointStore
+from repro.checkpoint.policy import (
+    DEFAULT_RETAIN,
+    CheckpointPolicy,
+    CheckpointStore,
+)
 from repro.checkpoint.snapshot import CheckpointError, Snapshot, canonical_json
 from repro.checkpoint.workloads import RunContext, build_workload
 from repro.core.watchdog import RollbackSignal
 from repro.sim import us
-from repro.sim.engine import KERNEL_STATS, replay_window
 
 #: Exit code of a process whose run was killed mid-flight (EX_TEMPFAIL:
 #: the run is resumable from its checkpoint store, not failed).
@@ -166,7 +169,9 @@ class ResumableRun:
         snapshot = self.context.capture(setup=self.setup)
         self.captures += 1
         self.snapshots.append(snapshot)
-        retain = self.policy.retain if self.policy is not None else 3
+        retain = (
+            self.policy.retain if self.policy is not None else DEFAULT_RETAIN
+        )
         del self.snapshots[:-retain]
         if self.store is not None:
             self.store.add(snapshot)
@@ -174,7 +179,7 @@ class ResumableRun:
 
     # -- the drive loop -----------------------------------------------------
 
-    def _drive(self, kill_after_events: int | None = None) -> int:
+    def _drive(self, kill_after_events: int | None = None) -> None:
         """Drain the kernel in chunks, capturing at policy boundaries.
 
         Each chunk is one :meth:`Simulator._drain` call that stops at
@@ -182,75 +187,68 @@ class ResumableRun:
         kill mark in events; the checks run between chunks, in that
         order, exactly where a one-event-at-a-time loop would run them.
         The event whose callback raises (a :class:`RollbackSignal`)
-        is not counted as executed.  Returns events executed by this
-        call.  Stops when the queue drains or (setting :attr:`killed`)
-        once :attr:`events_fresh` reaches ``kill_after_events``: the
-        kill point counts the run's fresh events, so a rollback (which
-        calls this again) does not restart it.
+        is not counted in :attr:`events_fresh`.  Stops when the queue
+        drains or (setting :attr:`killed`) once :attr:`events_fresh`
+        reaches ``kill_after_events``: the kill point counts the run's
+        fresh events, so a rollback (which calls this again) does not
+        restart it.
         """
         sim = self.context.system.sim
         heartbeat = self._heartbeat
-        executed = 0
-        try:
-            while True:
-                head = sim.next_event_time()
-                if head is None:
-                    return executed
-                if (
-                    self._next_time_mark is not None
-                    and head > self._next_time_mark
-                ):
-                    self.checkpoint()
-                    while head > self._next_time_mark:
-                        self._next_time_mark += us(self.policy.every_us)
-                    continue
-                gaps = []
-                if heartbeat is not None:
-                    gaps.append(self._beat_mark - self.events_fresh)
-                if self._next_events_mark is not None:
-                    gaps.append(self._next_events_mark - sim.events_processed)
-                if kill_after_events is not None:
-                    gaps.append(kill_after_events - self.events_fresh)
-                before = sim.events_processed
-                try:
-                    ran = sim._drain(
-                        until_ps=self._next_time_mark,
-                        max_events=min(gaps) if gaps else None,
-                    )
-                except BaseException:
-                    # The kernel counted the event whose callback
-                    # raised; the run does not.
-                    ran = sim.events_processed - before - 1
-                    raise
-                finally:
-                    executed += ran
-                    self.events_fresh += ran
-                if (
-                    heartbeat is not None
-                    and self.events_fresh >= self._beat_mark
-                ):
-                    heartbeat.beat(
-                        sim,
-                        events=self.events_fresh,
-                        events_replayed=self.events_replayed,
-                        checkpoints=self.captures,
-                    )
-                    self._beat_mark += heartbeat.every_events
-                if (
-                    self._next_events_mark is not None
-                    and sim.events_processed >= self._next_events_mark
-                ):
-                    self.checkpoint()
-                    self._next_events_mark += self.policy.every_events
-                if (
-                    kill_after_events is not None
-                    and self.events_fresh >= kill_after_events
-                    and sim.next_event_time() is not None
-                ):
-                    self.killed = True
-                    return executed
-        finally:
-            KERNEL_STATS.events_executed += executed
+        while True:
+            head = sim.next_event_time()
+            if head is None:
+                return
+            if (
+                self._next_time_mark is not None
+                and head > self._next_time_mark
+            ):
+                self.checkpoint()
+                while head > self._next_time_mark:
+                    self._next_time_mark += us(self.policy.every_us)
+                continue
+            gaps = []
+            if heartbeat is not None:
+                gaps.append(self._beat_mark - self.events_fresh)
+            if self._next_events_mark is not None:
+                gaps.append(self._next_events_mark - sim.events_processed)
+            if kill_after_events is not None:
+                gaps.append(kill_after_events - self.events_fresh)
+            before = sim.events_processed
+            try:
+                self.events_fresh += sim._drain(
+                    until_ps=self._next_time_mark,
+                    max_events=min(gaps) if gaps else None,
+                )
+            except BaseException:
+                # The kernel counted the event whose callback raised;
+                # the run does not.
+                self.events_fresh += sim.events_processed - before - 1
+                raise
+            if (
+                heartbeat is not None
+                and self.events_fresh >= self._beat_mark
+            ):
+                heartbeat.beat(
+                    sim,
+                    events=self.events_fresh,
+                    events_replayed=self.events_replayed,
+                    checkpoints=self.captures,
+                )
+                self._beat_mark += heartbeat.every_events
+            if (
+                self._next_events_mark is not None
+                and sim.events_processed >= self._next_events_mark
+            ):
+                self.checkpoint()
+                self._next_events_mark += self.policy.every_events
+            if (
+                kill_after_events is not None
+                and self.events_fresh >= kill_after_events
+                and sim.next_event_time() is not None
+            ):
+                self.killed = True
+                return
 
     def run(
         self,
@@ -348,14 +346,13 @@ class ResumableRun:
     def _replay_to(self, snapshot: Snapshot) -> None:
         """Deterministically replay the fresh context to ``snapshot``.
 
-        Replayed events are tagged as such in the process-wide kernel
-        ledger (``KERNEL_STATS.events_replayed``) and in
-        :attr:`events_replayed` — they reconstruct state the run already
-        paid for, so they never count as fresh throughput.
+        Replayed events are counted in :attr:`events_replayed`, apart
+        from :attr:`events_fresh`: they reconstruct state the run
+        already paid for.
         """
-        sim = self.context.system.sim
-        with replay_window():
-            replayed = sim.run(max_events=snapshot.events_processed)
+        replayed = self.context.system.sim.run(
+            max_events=snapshot.events_processed
+        )
         self.events_replayed += replayed
         if replayed != snapshot.events_processed:
             raise CheckpointError(

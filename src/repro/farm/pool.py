@@ -113,7 +113,6 @@ class WorkerPool:
         *,
         work_root=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        retain: int = 3,
         heartbeat_every: int | None = DEFAULT_HEARTBEAT_EVERY,
         poll_s: float = 0.01,
     ):
@@ -126,7 +125,6 @@ class WorkerPool:
             work_root if work_root is not None else queue.directory / "work"
         )
         self.checkpoint_every = checkpoint_every
-        self.retain = retain
         self.heartbeat_every = heartbeat_every
         self.poll_s = poll_s
         self._context = _mp_context()
@@ -152,7 +150,6 @@ class WorkerPool:
         options = {
             "attempt": record.attempts,
             "checkpoint_every": self.checkpoint_every,
-            "retain": self.retain,
             "heartbeat_every": self.heartbeat_every,
             "preempt_after_events": preempt_after,
         }

@@ -63,7 +63,6 @@ def execute_job(
     *,
     attempt: int = 1,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    retain: int = 3,
     heartbeat_every: int | None = DEFAULT_HEARTBEAT_EVERY,
     preempt_after_events: int | None = None,
 ) -> int:
@@ -76,8 +75,8 @@ def execute_job(
     """
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
-    store = CheckpointStore(work_dir / "checkpoints", retain=retain)
-    policy = CheckpointPolicy(every_events=checkpoint_every, retain=retain)
+    store = CheckpointStore(work_dir / "checkpoints")
+    policy = CheckpointPolicy(every_events=checkpoint_every)
     try:
         run = ResumableRun.open(config["workload"], config.get("params", {}),
                                 policy=policy, store=store)

@@ -11,9 +11,8 @@ Three views into a running (or finished) simulation:
 * :mod:`repro.obs.profiling` — kernel self-profiling: events and wall
   time per callback source, queue-op accounting, folded flame stacks,
   sim-time/wall-time ratio;
-* :mod:`repro.obs.perf` — the performance observatory: an append-only
-  perf-history ledger with a rolling-baseline regression gate, and
-  :class:`~repro.obs.perf.RunHeartbeat` streaming progress snapshots;
+* :mod:`repro.obs.perf` — :class:`~repro.obs.perf.RunHeartbeat`
+  streaming progress snapshots of a run;
 * :mod:`repro.obs.netscope` — the fabric observatory: windowed
   per-link/per-switch telemetry, blocked-route wait attribution by
   cause, spatial heat-map export and slice-cut traffic reports.
@@ -51,18 +50,7 @@ from repro.obs.netscope import (
     fleet_heatmap,
     merge_heatmaps,
 )
-from repro.obs.perf import (
-    WALL_FIELDS,
-    Comparison,
-    PerfHistory,
-    PerfRecord,
-    RunHeartbeat,
-    compare_against_history,
-    config_digest,
-    heartbeat_core,
-    records_from_profile,
-    render_history_report,
-)
+from repro.obs.perf import WALL_FIELDS, RunHeartbeat, heartbeat_core
 from repro.obs.profiling import (
     KERNEL_SOURCE,
     SimProfile,
@@ -85,7 +73,6 @@ from repro.obs.watch import PowerWatchpoint, WatchEvent
 __all__ = [
     "AttributionRow",
     "CAUSES",
-    "Comparison",
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_WINDOW_PS",
@@ -100,8 +87,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "NetScope",
-    "PerfHistory",
-    "PerfRecord",
     "PortProbe",
     "PowerWatchpoint",
     "RunHeartbeat",
@@ -116,14 +101,10 @@ __all__ = [
     "attribute_energy",
     "callback_source",
     "chrome_trace_json",
-    "compare_against_history",
-    "config_digest",
     "fleet_heatmap",
     "heartbeat_core",
     "merge_heatmaps",
     "profile_chrome_trace",
-    "records_from_profile",
-    "render_history_report",
     "series_key",
     "source_category",
     "to_chrome_trace",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
 from time import perf_counter
@@ -28,45 +27,6 @@ if TYPE_CHECKING:
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduling or a wedged simulation."""
-
-
-@dataclass
-class KernelStats:
-    """Process-wide kernel counters (all simulators, whole interpreter).
-
-    The benchmark harness reads this to attribute events-per-second to
-    each bench without instrumenting every ``Simulator`` it creates.
-
-    ``events_replayed`` counts events re-executed inside a
-    :func:`replay_window` — deterministic replay during a checkpoint
-    restore or rollback.  Replay is reconstruction, not fresh work, so
-    it is ledgered separately and never inflates events-per-second.
-    """
-
-    events_executed: int = 0
-    events_replayed: int = 0
-
-
-#: The interpreter-wide kernel ledger (see :class:`KernelStats`).
-KERNEL_STATS = KernelStats()
-
-
-@contextmanager
-def replay_window() -> Iterator[None]:
-    """Attribute kernel events executed inside the block to *replay*.
-
-    Everything the block adds to ``KERNEL_STATS.events_executed`` is
-    moved to ``KERNEL_STATS.events_replayed`` on exit, so profiles,
-    heartbeats and the bench harness can report replayed events
-    separately instead of counting reconstruction as fresh throughput.
-    """
-    before = KERNEL_STATS.events_executed
-    try:
-        yield
-    finally:
-        replayed = KERNEL_STATS.events_executed - before
-        KERNEL_STATS.events_executed = before
-        KERNEL_STATS.events_replayed += replayed
 
 
 class EventHandle:
@@ -383,13 +343,10 @@ class Simulator:
         if self._running:
             raise SimulationError("re-entrant call to Simulator.run()")
         self._running = True
-        executed = 0
         try:
-            executed = self._drain(max_events=max_events)
+            return self._drain(max_events=max_events)
         finally:
             self._running = False
-            KERNEL_STATS.events_executed += executed
-        return executed
 
     def run_until(self, time_ps: int) -> int:
         """Run all events with timestamp <= ``time_ps``; advance time there.
@@ -403,12 +360,10 @@ class Simulator:
         if self._running:
             raise SimulationError("re-entrant call to Simulator.run_until()")
         self._running = True
-        executed = 0
         try:
             executed = self._drain(until_ps=time_ps)
         finally:
             self._running = False
-            KERNEL_STATS.events_executed += executed
         self._now = max(self._now, time_ps)
         return executed
 

@@ -7,7 +7,8 @@ Python iteration and runs every check after every event.  Both drive
 the same scenarios (event and time cadences, heartbeats, marks that
 coincide, kills plus resume, watchdog rollbacks) and must leave the
 same bundles on disk, the same retained snapshots, heartbeat cores,
-recovery JSON, final reports and kernel-ledger deltas.
+fresh-event counts, recovery JSON (which carries the fresh and replayed
+counts) and final reports.
 """
 
 import pytest
@@ -20,7 +21,6 @@ from repro.checkpoint import (
 )
 from repro.obs.perf import RunHeartbeat
 from repro.sim import us
-from repro.sim.engine import KERNEL_STATS
 
 
 class StepRun(ResumableRun):
@@ -28,51 +28,46 @@ class StepRun(ResumableRun):
 
     def _drive(self, kill_after_events=None):
         sim = self.context.system.sim
-        executed = 0
-        try:
-            while True:
-                head = sim.next_event_time()
-                if head is None:
-                    return executed
-                if (
-                    self._next_time_mark is not None
-                    and head > self._next_time_mark
-                ):
-                    self.checkpoint()
-                    while head > self._next_time_mark:
-                        self._next_time_mark += us(self.policy.every_us)
-                    continue
-                if not sim.step():
-                    return executed
-                executed += 1
-                self.events_fresh += 1
-                heartbeat = self._heartbeat
-                if (
-                    heartbeat is not None
-                    and self.events_fresh >= self._beat_mark
-                ):
-                    heartbeat.beat(
-                        sim,
-                        events=self.events_fresh,
-                        events_replayed=self.events_replayed,
-                        checkpoints=self.captures,
-                    )
-                    self._beat_mark += heartbeat.every_events
-                if (
-                    self._next_events_mark is not None
-                    and sim.events_processed >= self._next_events_mark
-                ):
-                    self.checkpoint()
-                    self._next_events_mark += self.policy.every_events
-                if (
-                    kill_after_events is not None
-                    and self.events_fresh >= kill_after_events
-                    and sim.next_event_time() is not None
-                ):
-                    self.killed = True
-                    return executed
-        finally:
-            KERNEL_STATS.events_executed += executed
+        while True:
+            head = sim.next_event_time()
+            if head is None:
+                return
+            if (
+                self._next_time_mark is not None
+                and head > self._next_time_mark
+            ):
+                self.checkpoint()
+                while head > self._next_time_mark:
+                    self._next_time_mark += us(self.policy.every_us)
+                continue
+            if not sim.step():
+                return
+            self.events_fresh += 1
+            heartbeat = self._heartbeat
+            if (
+                heartbeat is not None
+                and self.events_fresh >= self._beat_mark
+            ):
+                heartbeat.beat(
+                    sim,
+                    events=self.events_fresh,
+                    events_replayed=self.events_replayed,
+                    checkpoints=self.captures,
+                )
+                self._beat_mark += heartbeat.every_events
+            if (
+                self._next_events_mark is not None
+                and sim.events_processed >= self._next_events_mark
+            ):
+                self.checkpoint()
+                self._next_events_mark += self.policy.every_events
+            if (
+                kill_after_events is not None
+                and self.events_fresh >= kill_after_events
+                and sim.next_event_time() is not None
+            ):
+                self.killed = True
+                return
 
 
 STREAM = ("faults_stream", {"words": 12, "seed": 3})
@@ -124,24 +119,20 @@ def attempt(run, kill, every_beat):
 def observe(cls, scenario, directory):
     """Everything a drive leaves behind, kill and resume included."""
     workload, params, policy_kw, every_beat, kill = scenario
-    retain = policy_kw.get("retain", 3)
     policy = CheckpointPolicy(**policy_kw)
-    store = CheckpointStore(directory, retain=retain)
-    executed, replayed = (KERNEL_STATS.events_executed,
-                          KERNEL_STATS.events_replayed)
+    store = CheckpointStore(directory, retain=policy.retain)
     run = cls(workload, params, policy=policy, store=store)
     attempts = [attempt(run, kill, every_beat)]
     if run.killed:
         run = cls.open(workload, params, policy=policy,
-                       store=CheckpointStore(directory, retain=retain))
+                       store=CheckpointStore(directory,
+                                             retain=policy.retain))
         attempts.append(attempt(run, None, every_beat))
     assert not run.killed
     return {
         "attempts": attempts,
         "final": canonical_json(run.final_report()),
         "bundles": {path.name: path.read_bytes() for path in store.paths()},
-        "kernel": (KERNEL_STATS.events_executed - executed,
-                   KERNEL_STATS.events_replayed - replayed),
     }
 
 
@@ -151,7 +142,7 @@ def test_chunked_drive_matches_step_drive(name, tmp_path):
     chunked = observe(ResumableRun, scenario, tmp_path / "chunked")
     stepped = observe(StepRun, scenario, tmp_path / "stepped")
     assert chunked["bundles"], "scenario took no checkpoint"
-    for key in ("attempts", "final", "bundles", "kernel"):
+    for key in ("attempts", "final", "bundles"):
         assert chunked[key] == stepped[key], key
 
 

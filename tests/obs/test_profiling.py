@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs.profiling import SimProfile, callback_source
 from repro.sim import Simulator
-from repro.sim.engine import KERNEL_STATS
 
 
 class TestCallbackSource:
@@ -86,23 +85,6 @@ class TestSimulatorProfile:
         profile = SimProfile()
         assert profile.sim_wall_ratio == 0.0
         assert profile.events_per_sec == 0.0
-
-
-class TestKernelStats:
-    def test_run_accumulates_global_ledger(self):
-        before = KERNEL_STATS.events_executed
-        sim = Simulator()
-        for i in range(4):
-            sim.schedule(i, lambda: None)
-        sim.run()
-        assert KERNEL_STATS.events_executed - before == 4
-
-    def test_run_until_accumulates(self):
-        before = KERNEL_STATS.events_executed
-        sim = Simulator()
-        sim.schedule(10, lambda: None)
-        sim.run_until(100)
-        assert KERNEL_STATS.events_executed - before == 1
 
 
 class TestWallAttribution:
