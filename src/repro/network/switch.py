@@ -123,7 +123,7 @@ class InputPort:
 
     def pump(self) -> None:
         """Run the forwarding engine after the events already due now
-        (coalesced within one event), from the kernel's same-time lane."""
+        (coalesced within one event), as a ``call_soon`` run."""
         if self._pump_pending:
             return
         self._pump_pending = True

@@ -3,7 +3,7 @@
 The energy model answers "where did the simulated joules go"; this
 module answers the meta-question every scaling PR needs: how many events
 did the kernel execute, on whose behalf, how much *wall time* each
-callback source consumed, how hard the event queue worked (push/pop
+callback source consumed, how hard the event queue worked (push
 volume, cancel churn, depth over time), and how fast simulated time is
 advancing relative to wall-clock time.
 :meth:`repro.sim.engine.Simulator.profile` installs a
@@ -18,7 +18,7 @@ finished :class:`SimProfile` behind::
 Wall-time attribution mirrors the energy scope's residual convention
 (:mod:`repro.obs.energyscope`): per-source callback time is measured
 directly (every event by default, or every ``wall_sample_every``-th
-event scaled up), and whatever the callbacks do not account for — heap
+event scaled up), and whatever the callbacks do not account for — queue
 maintenance, the run loop itself — lands in a synthetic ``<kernel>``
 source, so the per-source wall times always sum to the total wall time
 of the window.
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 #: Synthetic source holding wall time not attributed to any callback:
-#: heap push/pop, the run loop, and profiler overhead itself.
+#: queue pushes and pops, the run loop, and profiler overhead itself.
 KERNEL_SOURCE = "<kernel>"
 
 #: Run-length (key, count) pairs accumulate in a flat list and are
@@ -106,7 +106,7 @@ class SimProfile:
     wall_sample_every: int = 1
     #: Number of events whose callbacks were actually wall-timed.
     wall_sampled_events: int = 0
-    #: Event-queue operation accounting: total heap pushes, and pops
+    #: Event-queue operation accounting: total queue pushes, and pops
     #: that discarded a cancelled event (cancel churn — work the queue
     #: did for events that never ran).
     queue_pushes: int = 0
@@ -141,7 +141,7 @@ class SimProfile:
 
     @property
     def cancel_churn(self) -> float:
-        """Share of heap pushes that were later popped as cancelled."""
+        """Share of queue pushes that were later popped as cancelled."""
         if self.queue_pushes <= 0:
             return 0.0
         return self.queue_pops_cancelled / self.queue_pushes
@@ -239,8 +239,9 @@ class SimProfiler:
     :meth:`~repro.sim.engine.Simulator.next_event_time`; the drain loop
     adds its own cancelled pops to ``_cancelled`` in bulk.  Queue push
     volume and the depth high-water mark come from the simulator's own
-    counters at :meth:`finish` time — the scheduling hot path carries no
-    profiler hook at all.
+    counters at :meth:`finish` time, and the depth timeline reads its
+    live depth count (:meth:`attach_depth`) — the scheduling hot path
+    carries no profiler hook at all.
 
     ``wall_sample_every`` trades fidelity for overhead: 1 (default)
     wall-times every callback; N times every N-th event and scales the
@@ -279,8 +280,7 @@ class SimProfiler:
         self._sample_every = wall_sample_every
         self._depth_every = depth_timeline_every
         self._meta_capacity = meta_capacity
-        self._queue_ref: list | None = None
-        self._lane_ref: Any = ()
+        self._depth: Callable[[], int] | None = None
         #: Run-length-encoded (key, count) pairs pending aggregation
         #: into _counts.  Consecutive events usually share a callback
         #: (a core's tick loop), so the common hot-path case is a
@@ -301,11 +301,10 @@ class SimProfiler:
         self._meta: list[tuple[float, float, Any]] = []
         self._meta_dropped = 0
 
-    def attach_queue(self, queue: list, lane: Any) -> None:
-        """Let the profiler sample queue depth from the live event heap
-        and same-time lane (their lengths summed)."""
-        self._queue_ref = queue
-        self._lane_ref = lane
+    def attach_depth(self, depth: Callable[[], int]) -> None:
+        """Let the profiler sample queue depth: ``depth()`` reads the
+        kernel's live count of queued entries, cancelled ones included."""
+        self._depth = depth
 
     def after_event(self, key: Any, started: float) -> None:
         """A wall-sampled event's callback, keyed ``key`` and started at
@@ -323,11 +322,8 @@ class SimProfiler:
             self._meta.append((started, duration, key))
         elif self._meta_capacity:
             self._meta_dropped += 1
-        if n % self._depth_every == 0 and self._queue_ref is not None:
-            self._depth_timeline.append(
-                (n * self._sample_every,
-                 len(self._queue_ref) + len(self._lane_ref))
-            )
+        if n % self._depth_every == 0 and self._depth is not None:
+            self._depth_timeline.append((n * self._sample_every, self._depth()))
         if len(self._buf) >= _FOLD_THRESHOLD:
             self._fold()
 
@@ -345,7 +341,7 @@ class SimProfiler:
         self._buf.clear()
 
     def on_cancelled_pop(self) -> None:
-        """The heap discarded a cancelled event."""
+        """The queue discarded a cancelled event."""
         self._cancelled += 1
 
     def finish(

@@ -6,9 +6,11 @@ switches and the energy-measurement ADC all schedule callbacks here.
 
 The sequence number makes event ordering total and deterministic: events
 scheduled earlier run earlier when timestamps tie, so a simulation is a
-pure function of its configuration.  Callbacks due *now* can skip the
-heap: :meth:`Simulator.call_soon` queues them in a FIFO lane that takes
-its place in the same ``(time, seq)`` order.
+pure function of its configuration.  The queue is a calendar: one FIFO
+bucket per pending timestamp, and a heap of the distinct timestamps.
+Every push takes the next sequence number and joins the back of its
+time's one bucket, so draining the earliest bucket front to back is
+exactly ``(time, seq)`` order.
 """
 
 from __future__ import annotations
@@ -32,26 +34,22 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """A scheduled event, returned by :meth:`Simulator.schedule`.
 
-    The handle *is* the queued event: the heap holds ``(time, seq,
-    handle)`` tuples, so heap comparisons run in C on the unique
-    ``(time, seq)`` prefix and never reach the handle.
+    The handle *is* the queued event: it waits in the bucket of its
+    time until the drain loop reaches it.
 
     An owner may *arm* a handle by setting ``repeat`` and ``period``:
     while ``repeat`` is positive, reaching the head of the queue is a
     *silent firing* — the kernel counts it as an executed event,
-    decrements ``repeat`` and re-queues the handle at ``time +
-    period`` under the next sequence number, exactly the push a
-    callback that rescheduled itself one period on would have made, but
-    without calling it.  Setting ``repeat`` back to 0 disarms the
-    handle: its pending entry then fires the callback as usual.
+    decrements ``repeat`` and moves the handle to the back of the
+    bucket ``period`` later under the next sequence number, exactly the
+    push a callback that rescheduled itself one period on would have
+    made, but without calling it.  Setting ``repeat`` back to 0 disarms
+    the handle: its pending entry then fires the callback as usual.
     """
 
-    __slots__ = ("time", "callback", "cancelled", "executed", "repeat", "period")
+    __slots__ = ("callback", "cancelled", "executed", "repeat", "period")
 
-    def __init__(self, time_ps: int, callback: Callable[[], None]):
-        #: Absolute time the event was scheduled for, in picoseconds
-        #: (each silent firing moves the pending entry on by ``period``).
-        self.time = time_ps
+    def __init__(self, callback: Callable[[], None]):
         self.callback = callback
         #: Whether :meth:`cancel` withdrew the event before it fired.
         self.cancelled = False
@@ -87,10 +85,15 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[int, int, EventHandle]] = []
-        #: The same-time lane: ``(seq, callback)`` pairs due at ``_now``,
-        #: in seq order (see :meth:`call_soon`).
-        self._lane: deque[tuple[int, Callable[[], None]]] = deque()
+        #: The calendar: a heap of the distinct pending times, and each
+        #: time's FIFO bucket of entries (an :class:`EventHandle`, or a
+        #: bare callback from :meth:`call_soon`) in seq order.  A bucket
+        #: may sit empty until the drain loop or :meth:`next_event_time`
+        #: retires it.
+        self._times: list[int] = []
+        self._buckets: dict[int, deque] = {}
+        #: Entries queued in all buckets, cancelled ones included.
+        self._depth = 0
         self._seq = 0
         self._now = 0
         self._events_processed = 0
@@ -110,14 +113,15 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of queued (non-cancelled) events, the lane's included."""
-        return (sum(1 for _, _, event in self._queue if not event.cancelled)
-                + len(self._lane))
+        """Number of queued events not cancelled, :meth:`call_soon`
+        runs included."""
+        return sum(1 for bucket in self._buckets.values() for entry in bucket
+                   if type(entry) is not EventHandle or not entry.cancelled)
 
     @property
     def queue_depth_high_water(self) -> int:
-        """The deepest the event queue and lane have ever been together
-        (cancelled entries included)."""
+        """The deepest the event queue has ever been (cancelled entries
+        included)."""
         return self._queue_hwm
 
     def schedule(self, delay_ps: int, callback: Callable[[], None]) -> EventHandle:
@@ -132,11 +136,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_ps} ps; simulation time is already {self._now} ps"
             )
-        event = EventHandle(time_ps, callback)
-        queue = self._queue
-        heappush(queue, (time_ps, self._seq, event))
+        event = EventHandle(callback)
+        bucket = self._buckets.get(time_ps)
+        if bucket is None:
+            bucket = self._buckets[time_ps] = deque()
+            heappush(self._times, time_ps)
+        bucket.append(event)
         self._seq += 1
-        depth = len(queue) + len(self._lane)
+        depth = self._depth = self._depth + 1
         if depth > self._queue_hwm:
             self._queue_hwm = depth
         return event
@@ -145,60 +152,74 @@ class Simulator:
         """Run ``callback`` at the current time, after every event already due.
 
         It runs exactly where ``schedule(0, callback)`` would run it —
-        the call takes the next sequence number, and the drain loop
-        orders the lane against the heap by ``(time, seq)`` — and it
-        counts as an executed event, but it costs no
-        :class:`EventHandle` and no heap entry, so it cannot be
-        cancelled.  The lane counts towards :attr:`pending_events` and
-        the queue high-water mark like the heap entry it replaces.
+        the call takes the next sequence number and joins the back of
+        the bucket at ``now`` — and it counts as an executed event, but
+        the bucket holds the bare callback, with no
+        :class:`EventHandle`, so it cannot be cancelled.  It counts
+        towards :attr:`pending_events` and the queue high-water mark
+        like the handle it replaces.
         """
-        lane = self._lane
-        lane.append((self._seq, callback))
+        now = self._now
+        bucket = self._buckets.get(now)
+        if bucket is None:
+            bucket = self._buckets[now] = deque()
+            heappush(self._times, now)
+        bucket.append(callback)
         self._seq += 1
-        depth = len(self._queue) + len(lane)
+        depth = self._depth = self._depth + 1
         if depth > self._queue_hwm:
             self._queue_hwm = depth
 
     def next_event_time(self) -> int | None:
         """Firing time of the next pending event, or None when idle.
 
-        Skims cancelled events off the head of the queue as a side
-        effect, exactly where the drain loop would discard them (never
-        past a lane entry with a lower seq), so checkpoint policies can
+        Skims cancelled events off the head of the queue, and retires
+        the buckets that leaves empty, as a side effect, exactly where
+        the drain loop would discard them, so checkpoint policies can
         peek without perturbing the execution trajectory.
         """
-        queue = self._queue
-        lane = self._lane
-        while queue:
-            time_ps, seq, event = queue[0]
-            if lane and (time_ps > self._now or seq > lane[0][0]):
-                return self._now
-            if not event.cancelled:
-                return time_ps
-            heappop(queue)
-            if self._profiler is not None:
-                self._profiler.on_cancelled_pop()
-        return self._now if lane else None
+        times = self._times
+        buckets = self._buckets
+        while times:
+            time_ps = times[0]
+            bucket = buckets[time_ps]
+            while bucket:
+                head = bucket[0]
+                if type(head) is not EventHandle or not head.cancelled:
+                    return time_ps
+                bucket.popleft()
+                self._depth -= 1
+                if self._profiler is not None:
+                    self._profiler.on_cancelled_pop()
+            del buckets[time_ps]
+            heappop(times)
+        return None
 
     def _drain(self, until_ps: int | None = None, max_events: int | None = None) -> int:
         """The event loop: fire queued events in ``(time, seq)`` order.
 
-        Stops when the heap and the lane are both empty, when the next
-        event lies after ``until_ps``, or once ``max_events`` events
-        have fired; cancelled events are discarded as they reach the
-        head.  Each turn takes the lane's head when the heap's head is
-        later or has a higher seq (a lane entry's time is always
-        ``now``), else pops the heap; lane runs and heap events share
-        the rest of the body (unprofiled, a silent firing takes a
-        shortcut past the call).
-        An armed handle (``repeat > 0``) fires silently: it counts as an
-        executed event and is re-queued one ``period`` later under the
-        next sequence number, without a call (see :class:`EventHandle`).
+        Stops when the queue is empty, when the next event lies after
+        ``until_ps``, or once ``max_events`` events have fired;
+        cancelled events are discarded as they reach the head.  The one
+        entry source is the earliest bucket, taken front to back; once
+        it is empty the loop retires it and enters the next time's.
+        The clock moves to a bucket's time only when a live entry in it
+        fires, so a time that holds only cancelled events leaves ``now``
+        alone.  A callback may call :meth:`next_event_time`, which
+        retires the emptied current bucket, and then open a new bucket
+        at the same time; so the loop retires a bucket only while it is
+        still the one registered for its time.  A bare callback from
+        :meth:`call_soon` simply runs.  An armed handle (``repeat > 0``)
+        fires silently: it counts as an executed event and moves to the
+        back of the bucket one ``period`` later under the next sequence
+        number, without a call (see :class:`EventHandle`).  The live
+        depth drops before each call, so a push the callback makes
+        reads the right high-water mark.
         Returns the number of events fired.  The loop's state lives in
         locals, and the call branches once on whether a profiler is
         installed: the profiled branch also keeps the profiler's
         run-length event ledger, with its state hoisted into locals too
-        — silent firings and lane runs are ledgered under their
+        — silent firings and ``call_soon`` runs are ledgered under their
         callback's key — and wall-times every ``wall_sample_every``-th
         event.  Its per-event cost is what
         ``benchmarks/bench_observer_overhead.py`` budgets.
@@ -212,37 +233,47 @@ class Simulator:
         """
         if max_events is not None and max_events < 1:
             return 0
-        queue = self._queue
-        lane = self._lane
+        times = self._times
+        buckets = self._buckets
+        get = buckets.get
         pop = heappop
         push = heappush
-        take = lane.popleft
+        handle = EventHandle
         until = inf if until_ps is None else until_ps
         limit = -1 if max_events is None else max_events
         executed = 0
+        # No bucket entered yet: ``get(None)`` is never ``()``.
+        time_ps = None
+        bucket = ()
         profiler = self._profiler
         if profiler is None:
             try:
                 while True:
-                    if lane and (not queue or queue[0][1] > lane[0][0]
-                                 or queue[0][0] > self._now):
-                        if self._now > until:
+                    if not bucket:
+                        if get(time_ps) is bucket:
+                            del buckets[time_ps]
+                            pop(times)
+                        if not times or times[0] > until:
                             break
-                        callback = take()[1]
-                    else:
-                        if not queue:
-                            break
-                        entry = pop(queue)
-                        event = entry[2]
+                        time_ps = times[0]
+                        bucket = buckets[time_ps]
+                        take = bucket.popleft
+                        continue
+                    callback = take()
+                    if type(callback) is handle:
+                        event = callback
                         if event.cancelled:
+                            self._depth -= 1
                             continue
-                        if entry[0] > until:
-                            push(queue, entry)
-                            break
-                        self._now = entry[0]
+                        self._now = time_ps
                         if event.repeat:
                             event.repeat -= 1
-                            push(queue, (entry[0] + event.period, self._seq, event))
+                            later = time_ps + event.period
+                            dest = get(later)
+                            if dest is None:
+                                dest = buckets[later] = deque()
+                                push(times, later)
+                            dest.append(event)
                             self._seq += 1
                             executed += 1
                             if executed == limit:
@@ -250,6 +281,7 @@ class Simulator:
                             continue
                         event.executed = True
                         callback = event.callback
+                    self._depth -= 1
                     executed += 1
                     callback()
                     if executed == limit:
@@ -271,32 +303,41 @@ class Simulator:
         cancelled = 0
         try:
             while True:
-                if lane and (not queue or queue[0][1] > lane[0][0]
-                             or queue[0][0] > self._now):
-                    if self._now > until:
+                if not bucket:
+                    if get(time_ps) is bucket:
+                        del buckets[time_ps]
+                        pop(times)
+                    if not times or times[0] > until:
                         break
-                    callback = take()[1]
-                    silent = False
-                else:
-                    if not queue:
-                        break
-                    entry = pop(queue)
-                    event = entry[2]
+                    time_ps = times[0]
+                    bucket = buckets[time_ps]
+                    take = bucket.popleft
+                    continue
+                callback = take()
+                silent = 0
+                if type(callback) is handle:
+                    event = callback
                     if event.cancelled:
+                        self._depth -= 1
                         cancelled += 1
                         continue
-                    if entry[0] > until:
-                        push(queue, entry)
-                        break
-                    self._now = entry[0]
+                    self._now = time_ps
                     callback = event.callback
                     silent = event.repeat
                     if silent:
                         event.repeat -= 1
-                        push(queue, (entry[0] + event.period, self._seq, event))
+                        later = time_ps + event.period
+                        dest = get(later)
+                        if dest is None:
+                            dest = buckets[later] = deque()
+                            push(times, later)
+                        dest.append(event)
                         self._seq += 1
                     else:
                         event.executed = True
+                        self._depth -= 1
+                else:
+                    self._depth -= 1
                 executed += 1
                 try:
                     key = callback.__code__
@@ -399,7 +440,7 @@ class Simulator:
         from repro.obs.profiling import SimProfiler
 
         profiler = SimProfiler(**profiler_options)
-        profiler.attach_queue(self._queue, self._lane)
+        profiler.attach_depth(lambda: self._depth)
         dropped_before = tracer.dropped if tracer is not None else 0
         seq_before = self._seq
         now_before = self._now

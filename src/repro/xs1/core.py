@@ -332,8 +332,8 @@ class XCore:
         can make them otherwise.  So the tick arms the handle it just
         scheduled to fire silently through them (see
         :class:`~repro.sim.engine.EventHandle`); every thread
-        transition and :meth:`set_frequency` disarm it.  The heap sees
-        exactly the entries per-cycle ticking would push.
+        transition and :meth:`set_frequency` disarm it.  The event
+        queue sees exactly the entries per-cycle ticking would push.
         """
         self._ticking = False
         rotation = self._rotation

@@ -1,16 +1,17 @@
-"""Differential test: switch ports on the kernel's same-time lane.
+"""Differential test: switch ports on the kernel's ``call_soon`` runs.
 
 ``InputPort.pump`` queues its port's forwarding run with
 :meth:`~repro.sim.engine.Simulator.call_soon`, which promises to run it
-exactly where ``schedule(0, ...)`` would.  Here seeded network
-workloads run twice: once as shipped, and once with ``call_soon``
-monkeypatched to ``schedule(0, callback)``, the heap entry the lane
-replaces.  Both runs must leave the same ``snapshot_state()``, the same
-trace records (every ``issue`` record pins the cycle a woken thread
-issued on, so a port run moved within its picosecond shows up as a
-changed wake-up), the same kernel counters, and byte-identical
-checkpoint bundles captured every :data:`EVERY` events — many of them
-while port runs are still waiting in the lane.
+exactly where ``schedule(0, ...)`` would: a bare callback at the back
+of the bucket at ``now``.  Here seeded network workloads run twice:
+once as shipped, and once with ``call_soon`` monkeypatched to
+``schedule(0, callback)``, the event handle the bare callback replaces.
+Both runs must leave the same ``snapshot_state()``, the same trace
+records (every ``issue`` record pins the cycle a woken thread issued
+on, so a port run moved within its picosecond shows up as a changed
+wake-up), the same kernel counters, and byte-identical checkpoint
+bundles captured every :data:`EVERY` events — many of them while port
+runs are still waiting in the bucket at ``now``.
 
 The workloads: a shift (every core streams packets to its twin on the
 next slice) on 2x1 slices, built here; ``faults_stream`` with a lossy
@@ -30,7 +31,7 @@ from repro import SwallowSystem
 from repro.checkpoint import CheckpointPolicy, ResumableRun, Snapshot, build_workload
 from repro.checkpoint.workloads import _stream_route
 from repro.network.token import CT_END
-from repro.sim import Simulator
+from repro.sim import EventHandle, Simulator
 from repro.sim.tracing import TraceRecorder
 from repro.xs1 import BehavioralThread, CheckCt, Compute, RecvWord, SendCt, SendWord
 
@@ -38,23 +39,31 @@ from repro.xs1 import BehavioralThread, CheckCt, Compute, RecvWord, SendCt, Send
 EVERY = 137
 
 
-def _heap_call_soon(sim: Simulator, callback) -> None:
+def _handle_call_soon(sim: Simulator, callback) -> None:
     sim.schedule(0, callback)
 
 
+def soon_waiting(sim: Simulator) -> int:
+    """The ``call_soon`` runs (bare callbacks, not handles) waiting in
+    the bucket at ``now``."""
+    return sum(type(entry) is not EventHandle
+               for entry in sim._buckets.get(sim.now, ()))
+
+
 def twin(monkeypatch, scenario) -> None:
-    """Run ``scenario()`` on the shipped lane, then with ``call_soon``
+    """Run ``scenario()`` with the shipped ``call_soon``, then with it
     played as ``schedule(0, ...)``; both must observe the same.  The
-    lane run must have captured bundles with port runs in the lane."""
-    lane = scenario()
+    shipped run must have captured bundles with port runs waiting in
+    the bucket at ``now``."""
+    shipped = scenario()
     with monkeypatch.context() as patch:
-        patch.setattr(Simulator, "call_soon", _heap_call_soon)
-        heap = scenario()
-    assert lane.pop("lane_waiting") > 0
-    assert heap.pop("lane_waiting") == 0
-    assert heap.keys() == lane.keys()
-    for key in lane:
-        assert heap[key] == lane[key], key
+        patch.setattr(Simulator, "call_soon", _handle_call_soon)
+        handles = scenario()
+    assert shipped.pop("soon_waiting_total") > 0
+    assert handles.pop("soon_waiting_total") == 0
+    assert handles.keys() == shipped.keys()
+    for key in shipped:
+        assert handles[key] == shipped[key], key
 
 
 def shift_system(seed: int, packets: int = 2, words: int = 2) -> SwallowSystem:
@@ -94,17 +103,17 @@ def drive(system: SwallowSystem, capture) -> dict:
     tracer = system.trace()
     sim = system.sim
     bundles = []
-    lane_waiting = 0
+    soon_waiting_total = 0
     while sim.run(max_events=EVERY) == EVERY:
         bundles.append(capture().to_json())
-        lane_waiting += bool(sim._lane)
+        soon_waiting_total += soon_waiting(sim)
     return {
         "state": system.snapshot_state(),
         "trace": tracer.to_jsonl(),
         "counters": (sim.events_processed, sim.snapshot_state()["seq"],
                      sim.queue_depth_high_water),
         "bundles": bundles,
-        "lane_waiting": lane_waiting,
+        "soon_waiting_total": soon_waiting_total,
     }
 
 
@@ -153,13 +162,13 @@ class _BundleRun(ResumableRun):
 
     def __init__(self, *args, **kwargs) -> None:
         self.bundles: list[str] = []
-        self.lane_waiting = 0
+        self.soon_waiting_total = 0
         super().__init__(*args, **kwargs)
 
     def checkpoint(self) -> Snapshot:
         snapshot = super().checkpoint()
         self.bundles.append(snapshot.to_json())
-        self.lane_waiting += bool(self.context.system.sim._lane)
+        self.soon_waiting_total += soon_waiting(self.context.system.sim)
         return snapshot
 
 
@@ -190,7 +199,7 @@ def test_watchdog_rollback(monkeypatch):
             "counters": (sim.events_processed, sim.snapshot_state()["seq"],
                          sim.queue_depth_high_water),
             "bundles": run.bundles,
-            "lane_waiting": run.lane_waiting,
+            "soon_waiting_total": run.soon_waiting_total,
         }
 
     twin(monkeypatch, scenario)

@@ -15,10 +15,11 @@ here, that keeps the straightforward heap of ``dataclass(order=True)``
 entries drained one ``step()`` at a time, plays each ``call_soon`` as
 ``schedule(0, ...)``, and re-queues an armed handle with an ordinary
 callback that reschedules itself: the same firing order, the same
-``now`` at every firing, the same ``pending_events`` and
-``next_event_time`` at every peek, and the same ``events_processed``,
-sequence counter, queue high-water mark and cancelled pops; profiled,
-also the same event ledger, wall samples and queue-depth timeline.
+``now`` at every firing, after every drive chunk and at the end, the
+same ``pending_events`` and ``next_event_time`` at every peek, and the
+same ``events_processed``, sequence counter, queue high-water mark and
+cancelled pops; profiled, also the same event ledger, wall samples and
+queue-depth timeline.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
@@ -62,6 +63,8 @@ class ReferenceKernel:
         self.cancelled_pops = 0
         #: Queue depth after each event's callback, by event number.
         self.depth_after: dict[int, int] = {}
+        #: ``now`` once each event has fired, by event number.
+        self.now_after: dict[int, int] = {0: 0}
 
     def schedule(self, delay_ps: int, callback: Callable[[], None]) -> _RefEvent:
         return self.schedule_at(self.now + delay_ps, callback)
@@ -100,6 +103,7 @@ class ReferenceKernel:
             event.executed = True
             event.callback()
             self.depth_after[self.events_processed] = len(self.queue)
+            self.now_after[self.events_processed] = self.now
             return True
         return False
 
@@ -235,28 +239,37 @@ def play(program, kernel) -> list[tuple]:
     return log
 
 
-def _run(sim: Simulator, chunk: int) -> None:
+# A drive calls ``check(floor)`` after every chunk: ``now`` must then be
+# the reference's ``now`` after as many events, or ``floor`` (the time a
+# ``run_until`` ran to) if that is later.  It returns the last floor.
+def _run(sim: Simulator, chunk: int, check) -> int:
     sim.run()
+    check(0)
+    return 0
 
 
-def _chunked(sim: Simulator, chunk: int) -> None:
+def _chunked(sim: Simulator, chunk: int, check) -> int:
     while sim.run(max_events=chunk):
-        pass
+        check(0)
+    return 0
 
 
-def _until_slices(sim: Simulator, chunk: int) -> None:
+def _until_slices(sim: Simulator, chunk: int, check) -> int:
     horizon = 0
     while sim.next_event_time() is not None:
         horizon += chunk
         sim.run_until(horizon)
+        check(horizon)
+    return horizon
 
 
-def _steps(sim: Simulator, chunk: int) -> None:
+def _steps(sim: Simulator, chunk: int, check) -> int:
     while sim.step():
-        pass
+        check(0)
+    return 0
 
 
-def _marks(sim: Simulator, chunk: int) -> None:
+def _marks(sim: Simulator, chunk: int, check) -> int:
     """The resumable run's drive shape: peek, then drain up to a time mark
     and an event mark at once (``ResumableRun._drive``)."""
     horizon = 0
@@ -265,6 +278,8 @@ def _marks(sim: Simulator, chunk: int) -> None:
             horizon += chunk
             continue
         sim._drain(until_ps=horizon, max_events=chunk)
+        check(0)
+    return 0
 
 
 DRIVES = (_run, _chunked, _until_slices, _steps, _marks)
@@ -272,6 +287,11 @@ DRIVES = (_run, _chunked, _until_slices, _steps, _marks)
 
 @settings(max_examples=150, deadline=None)
 @given(program=programs, chunk=st.integers(min_value=1, max_value=5))
+# A peek from the last event at a time retires that time's emptied
+# bucket; the drain loop must not retire it again, nor the bucket a
+# later push opens at the same time.
+@example(program=([("at_now", [("peek",)])], []), chunk=1)
+@example(program=([("at_now", [("peek",), ("sched", 0, [])])], []), chunk=1)
 def test_every_drive_matches_the_reference_kernel(program, chunk):
     reference = ReferenceKernel()
     expected = play(program, reference)
@@ -282,13 +302,18 @@ def test_every_drive_matches_the_reference_kernel(program, chunk):
             sim = Simulator()
             log = play(program, sim)
             where = f"{drive.__name__} wall_sample_every={stride}"
+
+            def check(floor: int) -> None:
+                assert sim.now == max(
+                    reference.now_after[sim.events_processed], floor), where
+
             if stride is not None:
                 with sim.profile(wall_sample_every=stride,
                                  depth_timeline_every=2) as profile:
-                    drive(sim, chunk)
-                # Silent firings and lane runs are ledgered under their
-                # callback's key, and one on a sample mark still counts
-                # as a sample.
+                    floor = drive(sim, chunk, check)
+                # Silent firings and call_soon runs are ledgered under
+                # their callback's key, and one on a sample mark still
+                # counts as a sample.
                 assert profile.events_total == reference.events_processed, where
                 assert set(profile.events_by_source) <= {"play.perform.fire"}
                 assert profile.wall_sampled_events == \
@@ -298,7 +323,8 @@ def test_every_drive_matches_the_reference_kernel(program, chunk):
                 assert profile.queue_pops_cancelled == \
                     reference.cancelled_pops - pops_before_run, where
             else:
-                drive(sim, chunk)
+                floor = drive(sim, chunk, check)
+            assert sim.now == max(reference.now, floor), where
             assert log == expected, where
             assert sim.events_processed == reference.events_processed, where
             assert sim.snapshot_state()["seq"] == reference.seq, where
@@ -316,11 +342,13 @@ def test_max_events_below_one_runs_nothing():
 
 
 def test_a_lane_run_honours_until_ps_like_a_heap_entry():
-    for kernel in ("lane", "heap"):
+    """A ``call_soon`` run (a bare callback in the bucket at ``now``)
+    stops at ``until_ps`` like the ``schedule(0)`` handle it stands for."""
+    for kernel in ("call_soon", "schedule"):
         sim = Simulator()
         sim.run_until(10)
         fired = []
-        if kernel == "lane":
+        if kernel == "call_soon":
             sim.call_soon(lambda: fired.append(sim.now))
         else:
             sim.schedule(0, lambda: fired.append(sim.now))
@@ -328,6 +356,20 @@ def test_a_lane_run_honours_until_ps_like_a_heap_entry():
         assert (fired, sim.pending_events, sim.next_event_time()) == \
             ([], 1, 10), kernel
         assert sim.run() == 1 and fired == [10], kernel
+
+
+def test_a_time_holding_only_cancelled_events_leaves_the_clock():
+    """Discarding the cancelled events of a time before an ``until_ps``
+    mark, or at the end of the queue, does not move ``now`` there."""
+    sim = Simulator()
+    sim.schedule(10, lambda: None).cancel()
+    sim.schedule(10, lambda: None).cancel()
+    sim.schedule(30, lambda: None)
+    assert sim._drain(until_ps=20) == 0
+    assert (sim.now, sim.pending_events, sim.next_event_time()) == (0, 1, 30)
+    sim.schedule(50, lambda: None).cancel()
+    assert sim.run() == 1
+    assert (sim.now, sim.pending_events, sim.next_event_time()) == (30, 0, None)
 
 
 def test_drain_has_no_conditional_back_edge():
