@@ -84,7 +84,7 @@ def _run_once(observed: bool) -> tuple[int, float]:
         system.trace(capacity=65536)
         _load(system)
         wall_start = time.perf_counter()
-        with system.profile(wall_sample_every=WALL_SAMPLE_EVERY):
+        with system.sim.profile(wall_sample_every=WALL_SAMPLE_EVERY):
             system.run()
         wall_s = time.perf_counter() - wall_start
     else:

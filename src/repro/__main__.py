@@ -217,10 +217,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     heartbeat = None
     beats_path = os.path.join(args.out, "heartbeat.jsonl") if args.out else None
     if args.heartbeat_every is not None:
-        heartbeat = RunHeartbeat(args.heartbeat_every, out=beats_path,
-                                 metrics=system.metrics)
+        heartbeat = RunHeartbeat(args.heartbeat_every, out=beats_path)
     profiling = (
-        system.profile(wall_sample_every=PROFILE_SAMPLE_EVERY)
+        system.sim.profile(wall_sample_every=PROFILE_SAMPLE_EVERY)
         if "profile" in args.observe else nullcontext()
     )
     with profiling as profile:

@@ -95,17 +95,6 @@ class MachineAssembly:
                 registry, slice=f"{board.sx},{board.sy}"
             )
 
-    def set_tracer(self, tracer) -> None:
-        """Attach one trace recorder to every traceable component.
-
-        ``None`` detaches tracing everywhere.
-        """
-        for core in self.cores:
-            core.tracer = tracer
-        self.topology.fabric.set_tracer(tracer)
-        for board in self.slices:
-            board.measurement.tracer = tracer
-
 
 def build_machine(
     sim: Simulator,

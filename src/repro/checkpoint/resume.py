@@ -24,7 +24,10 @@ Three ways a run ends:
   injection is replayed (or the run restarts from t=0 if none is old
   enough), and execution continues.  Masked injections still fire as
   events — preserving sequence-number allocation, hence the pre-fault
-  trajectory — but take no action.
+  trajectory — but take no action.  The run's tracer and open profiles
+  move to the rebuilt kernel after its replay
+  (:meth:`~repro.sim.engine.Simulator.hand_over`), and the heartbeat
+  reads the rebuilt system's metrics.
 
 Every recovery action lands in a :class:`RecoveryReport` whose
 canonical JSON is deterministic: the same configuration yields the
@@ -260,13 +263,17 @@ class ResumableRun:
         With a :class:`~repro.obs.perf.RunHeartbeat`, the drive loop
         emits a progress line every ``heartbeat.every_events`` fresh
         events (replayed events are reported separately, never counted
-        as progress) and a final line when the run ends.
+        as progress) and a final line when the run ends.  The heartbeat
+        reads the metrics of the system being driven: after a rollback,
+        the rebuilt one's.
         """
         if heartbeat is not None:
             self._heartbeat = heartbeat
             self._beat_mark = self.events_fresh + heartbeat.every_events
         try:
             while True:
+                if self._heartbeat is not None:
+                    self._heartbeat.bind(self.context.system.metrics)
                 try:
                     self._drive(kill_after_events)
                 except RollbackSignal as signal:
@@ -338,9 +345,11 @@ class ResumableRun:
         })
         masked = sorted(set(campaign.masked) | {suspect})
         self.params = dict(self.params, masked=masked)
+        old_sim = self.context.system.sim
         self.context = build_workload(self.workload, self.params)
         if base is not None:
             self._replay_to(base)
+        old_sim.hand_over(self.context.system.sim)
         self._reset_marks()
 
     def _replay_to(self, snapshot: Snapshot) -> None:

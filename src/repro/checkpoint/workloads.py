@@ -93,7 +93,7 @@ class RunContext:
 
 
 #: Params every builder takes: the machine (:func:`_system_kwargs`) and
-#: the fabric observatory (:func:`_maybe_netscope`).
+#: the fabric observatory (attached by :func:`build_workload`).
 SHARED_PARAMS = frozenset({
     "slices_x", "slices_y", "freq_mhz", "topology", "link_aggregation",
     "netscope", "netscope_window_us",
@@ -125,6 +125,12 @@ def register_workload(name: str, params: Iterable[str] = ()):
 def build_workload(name: str, params: dict | None = None) -> RunContext:
     """Build a registered workload from plain data.
 
+    With ``params["netscope"]`` set, the fabric observatory is attached
+    to the built system, sampling windows of ``netscope_window_us``
+    (default 1 µs).  Both are params, so a resumed or rolled-back run
+    rebuilds the same probes (and the same heat-map bytes) from the
+    checkpoint's setup record.
+
     Raises :class:`CheckpointError` for an unknown workload or for any
     params key the workload does not declare.
     """
@@ -139,7 +145,11 @@ def build_workload(name: str, params: dict | None = None) -> RunContext:
             f"workload {name!r} takes no param(s) {', '.join(unknown)}; "
             f"known: {', '.join(sorted(WORKLOAD_PARAMS[name]))}"
         )
-    return builder(params)
+    context = builder(params)
+    if params.get("netscope"):
+        window_us = float(params.get("netscope_window_us", 1.0))
+        context.system.netscope(window_ps=int(window_us * 1e6))
+    return context
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +183,6 @@ def _system_kwargs(params: dict) -> dict:
     return kwargs
 
 
-def _maybe_netscope(system, params: dict) -> None:
-    """Attach the fabric observatory when ``params["netscope"]`` asks.
-
-    Part of the params dict, so a resumed run rebuilds the same probes
-    (and the same heat-map bytes) from the checkpoint's setup record.
-    ``netscope_window_us`` sets the sampling window (default 1 µs).
-    """
-    if params.get("netscope"):
-        window_us = float(params.get("netscope_window_us", 1.0))
-        system.netscope(window_ps=int(window_us * 1e6))
-
-
 def _stream_route(system):
     """The canonical one-hop stream route used by the fault workloads."""
     from repro.network.routing import Layer
@@ -210,7 +208,6 @@ def _demo(params: dict) -> RunContext:
     from repro.xs1 import Compute, RecvWord, SendWord, assemble
 
     system = SwallowSystem(**_system_kwargs(params))
-    _maybe_netscope(system, params)
     seed = params.get("seed")
     if seed is None:
         loop_count, words, payload = 1000, 4, lambda i: i * i
@@ -258,7 +255,6 @@ def _pipeline(params: dict) -> RunContext:
     from repro.xs1 import Compute, RecvWord, SendWord
 
     system = SwallowSystem(**_system_kwargs(params))
-    _maybe_netscope(system, params)
     recorder = system.spans()
     root = recorder.span("pipeline")
     root.begin(system.sim.now)
@@ -320,7 +316,6 @@ def _faults_stream(params: dict) -> RunContext:
 
     words = int(params.get("words", 16))
     system = SwallowSystem(**_system_kwargs(params))
-    _maybe_netscope(system, params)
     node_a, node_b, cores = _stream_route(system)
     channel = ReliableChannel.between(cores[node_a], cores[node_b])
     received: list[int] = []
@@ -388,7 +383,6 @@ def _watchdog_stream(params: dict) -> RunContext:
 
     words = int(params.get("words", 24))
     system = SwallowSystem(**_system_kwargs(params))
-    _maybe_netscope(system, params)
     node_a, node_b, cores = _stream_route(system)
     channel = ReliableChannel.between(
         cores[node_a], cores[node_b],
@@ -488,7 +482,6 @@ def _policy_rt(params: dict) -> RunContext:
     from repro.xs1.behavioral import Compute
 
     system = SwallowSystem(**_system_kwargs(params))
-    _maybe_netscope(system, params)
 
     policy_name = str(params.get("policy", "least_loaded"))
     k = int(params.get("k", 1))

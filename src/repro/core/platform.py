@@ -54,8 +54,6 @@ class SwallowSystem:
         )
         self.sim.register_metrics(self.metrics)
         self.machine.register_metrics(self.metrics)
-        self.tracer: TraceRecorder | None = None
-        self._trace_metrics_registered = False
         #: Machine-wide causal-span recorder; created on first use via
         #: :meth:`spans`.
         self.span_recorder: SpanRecorder | None = None
@@ -151,34 +149,23 @@ class SwallowSystem:
         """Collect every published metric series right now."""
         return self.metrics.snapshot()
 
-    def trace(
-        self,
-        kinds=None,
-        capacity: int | None = None,
-        tracer: TraceRecorder | None = None,
-    ) -> TraceRecorder:
-        """Attach one machine-wide trace recorder and return it.
+    def trace(self, kinds=None, capacity: int | None = None) -> TraceRecorder:
+        """Attach one machine-wide trace recorder as ``sim.tracer``.
 
-        Records core ``issue`` events, switch ``route_open`` /
-        ``route_close`` / ``deliver`` events, link ``token`` events and
-        ADC ``sample`` events.  ``kinds`` filters at record time;
+        Every component reads the kernel's tracer, so the recorder gets
+        core ``issue``; switch ``route_open``, ``route_close``,
+        ``route_severed`` and ``deliver``; link ``token``,
+        ``token_dropped`` and ``token_corrupted``; ADC ``sample``; and
+        ``watchdog.fired`` records.  Calling again replaces it,
+        ``sim.tracer = None`` detaches it, and a watchdog rollback hands
+        it to the rebuilt system.  ``kinds`` filters at record time;
         ``capacity`` bounds memory with flight-recorder (keep-newest)
         semantics.  Export the result with
         :meth:`~repro.sim.tracing.TraceRecorder.to_chrome_trace` or
         :meth:`~repro.sim.tracing.TraceRecorder.to_jsonl`.
         """
-        recorder = tracer or TraceRecorder(kinds=kinds, capacity=capacity)
-        self.machine.set_tracer(recorder)
-        self.tracer = recorder
-        if not self._trace_metrics_registered:
-            # Lazy series reading whatever recorder is current, so
-            # re-attaching a tracer never duplicates the series.
-            self.metrics.counter_fn(
-                "trace.dropped_events",
-                lambda: self.tracer.dropped if self.tracer is not None else 0,
-            )
-            self._trace_metrics_registered = True
-        return recorder
+        self.sim.tracer = TraceRecorder(kinds=kinds, capacity=capacity)
+        return self.sim.tracer
 
     def netscope(self, window_ps: int = 1_000_000):
         """Attach the fabric observatory (created on first call).
@@ -214,16 +201,6 @@ class SwallowSystem:
         from repro.obs.energyscope import attribute_energy
 
         return attribute_energy(self, self.span_recorder)
-
-    def profile(self, **profiler_options):
-        """Profile the simulation kernel; see :meth:`Simulator.profile`.
-
-        The system's attached tracer (if any) is passed along so the
-        profile surfaces flight-recorder ring-buffer evictions.  Keyword
-        arguments configure the profiler (``wall_sample_every``,
-        ``depth_timeline_every``, ``meta_capacity``).
-        """
-        return self.sim.profile(tracer=self.tracer, **profiler_options)
 
     # -- checkpointing (see repro.checkpoint) ------------------------------------
 

@@ -193,10 +193,10 @@ class Watchdog:
             self.deadline_misses += 1
         handle = watch.handle
         now = self.system.sim.now
-        if self.system.tracer is not None:
-            self.system.tracer.record(
-                now, "watchdog", "watchdog.fired", handle.task_id, cause
-            )
+        tracer = self.system.sim.tracer
+        if tracer is not None:
+            tracer.record(now, "watchdog", "watchdog.fired", handle.task_id,
+                          cause)
         if (
             self.nos is not None
             and watch.escalations == 0

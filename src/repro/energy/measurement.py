@@ -113,8 +113,6 @@ class MeasurementBoard:
         self.adc = adc or Adc()
         self.samples_taken = 0
         self.name = name
-        #: Optional trace sink (records one ``sample`` event per read).
-        self.tracer = None
         self._samples_counter = None
 
     def register_metrics(self, registry, **labels: str) -> None:
@@ -132,8 +130,9 @@ class MeasurementBoard:
         self.samples_taken += n
         if self._samples_counter is not None:
             self._samples_counter.inc(n)
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, self.name, "sample", n)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.record(self.sim.now, self.name, "sample", n)
 
     def sample_channel(self, index: int) -> float:
         """One quantised power reading (mW) of rail ``index``."""

@@ -85,7 +85,6 @@ def execute_job(
             heartbeat = RunHeartbeat(
                 heartbeat_every,
                 out=work_dir / f"heartbeat-a{attempt}.jsonl",
-                metrics=run.context.system.metrics,
             )
         recovery = run.run(kill_after_events=preempt_after_events,
                            heartbeat=heartbeat)

@@ -21,7 +21,6 @@ from repro.sim import Frequency, Simulator
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.netscope import NetScope
-    from repro.sim.tracing import TraceRecorder
     from repro.xs1.chanend import Chanend
 
 #: A routing policy maps (current coordinate, destination coordinate) to
@@ -82,8 +81,6 @@ class SwallowFabric:
         #: Called with the :class:`LinkRecord` after each fail_link /
         #: fail_node_links (health monitoring, see repro.faults.healing).
         self.fault_listeners: list[Callable[[LinkRecord], None]] = []
-        #: Network-wide trace sink; switches and links consult this.
-        self.tracer: "TraceRecorder | None" = None
         #: The fabric observatory, when attached (repro.obs.netscope).
         #: Late-built parts (links, lazily created chanend ports) consult
         #: this so their probes attach no matter the construction order.
@@ -138,8 +135,6 @@ class SwallowFabric:
             switch_b.add_incoming(forward)
             switch_b.add_outgoing(direction_ba, backward)
             switch_a.add_incoming(backward)
-            forward.tracer = self.tracer
-            backward.tracer = self.tracer
             self.links.extend((forward, backward))
             record = LinkRecord(node_a, node_b, direction_ab, direction_ba,
                                 forward, backward)
@@ -355,18 +350,6 @@ class SwallowFabric:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def set_tracer(self, tracer: "TraceRecorder | None") -> None:
-        """Attach (or detach, with ``None``) a network-wide trace sink.
-
-        Switches record ``route_open``/``route_close``/``deliver``
-        events and every half-link records ``token`` events.  Pass a
-        kind-filtered or bounded :class:`~repro.sim.tracing.TraceRecorder`
-        to keep long runs affordable.
-        """
-        self.tracer = tracer
-        for link in self.links:
-            link.tracer = tracer
 
     def register_metrics(self, registry: "MetricsRegistry") -> None:
         """Publish every switch's and link's series, plus class rollups.

@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.netscope import LinkProbe
     from repro.sim.engine import EventHandle
-    from repro.sim.tracing import TraceRecorder
 
 #: A flaky-link hook: given the token about to be serialized, return the
 #: token to deliver, a replacement (corruption), or ``None`` to drop it.
@@ -72,8 +71,6 @@ class HalfLink:
         #: The token :attr:`_inflight` delivers (None: it was dropped).
         self._inflight_token: Token | None = None
         self._sent_since_seize = 0
-        #: Optional trace sink (set via SwallowFabric.set_tracer).
-        self.tracer: "TraceRecorder | None" = None
         #: Optional netscope probe (see :mod:`repro.obs.netscope`).
         self.ns: "LinkProbe | None" = None
 
@@ -129,9 +126,10 @@ class HalfLink:
             self.busy = False
             self.credits += 1
             self.tokens_dropped += 1
-            if self.tracer is not None:
-                self.tracer.record(self.sim.now, self.name, "token_dropped",
-                                   "in-flight")
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.record(self.sim.now, self.name, "token_dropped",
+                              "in-flight")
 
     def seize(self, port: "InputPort") -> None:
         """Allocate the link to a route (caller checked :attr:`free`)."""
@@ -190,30 +188,29 @@ class HalfLink:
         self.tokens_carried += 1
         self.bits_carried += TOKEN_BITS
         self.busy_time_ps += self.token_time_ps
+        sim = self.sim
         if self.ns is not None:
-            self.ns.on_send(self.sim.now, TOKEN_BITS, self.token_time_ps)
+            self.ns.on_send(sim.now, TOKEN_BITS, self.token_time_ps)
         if token.span is not None:
             # Charge the wire bits to the originating span, per link
             # class, mirroring bits_carried: dropped and corrupted
             # tokens still cost serialization energy (§V, Table I).
             token.span.add_wire_bits(self.spec.name, TOKEN_BITS)
+        tracer = sim.tracer
         if outcome is None:
             self.tokens_dropped += 1
-            if self.tracer is not None:
-                self.tracer.record(self.sim.now, self.name, "token_dropped",
-                                   str(token))
+            if tracer is not None:
+                tracer.record(sim.now, self.name, "token_dropped", str(token))
         else:
             if outcome is not token:
                 self.tokens_corrupted += 1
-                if self.tracer is not None:
-                    self.tracer.record(self.sim.now, self.name,
-                                       "token_corrupted", str(token),
-                                       str(outcome))
-            if self.tracer is not None:
-                self.tracer.record(self.sim.now, self.name, "token",
-                                   str(outcome))
+                if tracer is not None:
+                    tracer.record(sim.now, self.name, "token_corrupted",
+                                  str(token), str(outcome))
+            if tracer is not None:
+                tracer.record(sim.now, self.name, "token", str(outcome))
         self._inflight_token = outcome
-        self._inflight = self.sim.schedule(self.token_time_ps, self._arrive)
+        self._inflight = sim.schedule(self.token_time_ps, self._arrive)
 
     def _arrive(self) -> None:
         """The in-flight token finished serializing: deliver it to the

@@ -173,7 +173,7 @@ class InputPort:
         self.routes_severed += 1
         if self.ns is not None:
             self.ns.block("severed", self.switch.sim.now)
-        tracer = self.switch.fabric.tracer
+        tracer = self.switch.sim.tracer
         if tracer is not None:
             tracer.record(self.switch.sim.now, self.switch.name,
                           "route_severed", self.name, str(route.dest))
@@ -217,7 +217,7 @@ class InputPort:
             return
         self.switch.routes_severed += 1
         self.routes_severed += 1
-        tracer = self.switch.fabric.tracer
+        tracer = self.switch.sim.tracer
         if tracer is not None:
             tracer.record(self.switch.sim.now, self.switch.name,
                           "route_severed", self.name, str(route.dest))
@@ -239,7 +239,7 @@ class InputPort:
         dest = ChanendAddress.from_header(header)
         switch = self.switch
         self.routes_opened += 1
-        tracer = switch.fabric.tracer
+        tracer = switch.sim.tracer
         if tracer is not None:
             tracer.record(switch.sim.now, switch.name, "route_open",
                           self.name, str(dest))
@@ -328,7 +328,7 @@ class InputPort:
             self.ns.unblock(self.switch.sim.now)
         self._consume()
         self.switch.tokens_delivered += 1
-        tracer = self.switch.fabric.tracer
+        tracer = self.switch.sim.tracer
         if tracer is not None:
             tracer.record(self.switch.sim.now, self.switch.name, "deliver",
                           str(route.dest), str(token))
@@ -352,7 +352,7 @@ class InputPort:
             hold_ps = switch.sim.now - route.opened_ps
             switch.route_hold_hist.observe(hold_ps)
             switch.direction_hold_hist(route.direction).observe(hold_ps)
-        tracer = switch.fabric.tracer
+        tracer = switch.sim.tracer
         if tracer is not None:
             tracer.record(switch.sim.now, switch.name, "route_close",
                           self.name, str(route.dest))

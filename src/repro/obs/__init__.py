@@ -19,8 +19,11 @@ Three views into a running (or finished) simulation:
 
 The assembled platform wires everything up:
 ``SwallowSystem(...).metrics`` is a live registry,
-``SwallowSystem.trace()`` attaches a machine-wide recorder, and
-``Simulator.profile()`` measures the simulator itself.
+``SwallowSystem.trace()`` sets the kernel's one recorder,
+``sim.tracer``, and ``Simulator.profile()`` measures the simulator
+itself.  The tracer and the profiler are run-level observers: they
+live on the kernel, and a watchdog rollback hands them to the rebuilt
+system (:meth:`~repro.sim.engine.Simulator.hand_over`).
 """
 
 from repro.obs.metrics import (

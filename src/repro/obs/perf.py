@@ -43,33 +43,41 @@ class RunHeartbeat:
     Every ``every_events`` fresh kernel events, :meth:`beat` writes one
     JSON line: sim time, cumulative fresh/replayed event counts, queue
     depth high-water, pending events, checkpoints taken, the metrics
-    delta since the previous beat (when a registry is attached), and —
-    outside the deterministic core — cumulative wall seconds and
-    events/sec.  The cadence is event-count-based, so *which* beats
-    exist and everything in their deterministic core is a pure function
-    of the run's configuration.
+    delta since the previous beat (once :meth:`bind` gave it a
+    registry), and — outside the deterministic core — cumulative wall
+    seconds and events/sec.  The cadence is event-count-based, so
+    *which* beats exist and everything in their deterministic core is a
+    pure function of the run's configuration.
 
     Hand the object to :meth:`repro.checkpoint.ResumableRun.run`,
-    which beats from its drive loop (reporting replayed events
-    separately) and closes the stream with a final beat.
+    which binds it to the registry of the system it drives, beats from
+    its drive loop (reporting replayed events separately) and closes
+    the stream with a final beat.
     """
 
-    def __init__(
-        self,
-        every_events: int,
-        out=None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, every_events: int, out=None) -> None:
         if every_events < 1:
             raise ValueError(f"every_events must be >= 1, got {every_events}")
         self.every_events = every_events
-        self.metrics = metrics
+        self.metrics = None
         self.lines: list[dict[str, Any]] = []
         self.beats = 0
         self._out_path = None if out is None else Path(out)
         self._handle: TextIO | None = None
         self._wall_start = time.perf_counter()
-        self._last_snapshot = metrics.snapshot() if metrics is not None else None
+        self._last_snapshot = None
+
+    def bind(self, metrics) -> None:
+        """Read the metrics deltas from ``metrics`` from now on.
+
+        The first registry bound is the baseline.  Binding another (the
+        rebuilt system after a rollback) keeps the last snapshot taken,
+        so the deltas still sum to the change over the whole run, and
+        the first delta after the switch can be negative.
+        """
+        if self._last_snapshot is None:
+            self._last_snapshot = metrics.snapshot()
+        self.metrics = metrics
 
     def beat(
         self,

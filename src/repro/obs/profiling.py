@@ -238,10 +238,13 @@ class SimProfiler:
     :meth:`on_cancelled_pop` fires per cancelled event discarded by
     :meth:`~repro.sim.engine.Simulator.next_event_time`; the drain loop
     adds its own cancelled pops to ``_cancelled`` in bulk.  Queue push
-    volume and the depth high-water mark come from the simulator's own
-    counters at :meth:`finish` time, and the depth timeline reads its
-    live depth count (:meth:`attach_depth`) — the scheduling hot path
-    carries no profiler hook at all.
+    volume, simulated time and the depth high-water mark come from the
+    simulator's own counters, which it adds to :attr:`profile` as the
+    window leaves each kernel, and the depth timeline reads its live
+    depth count (:meth:`attach_depth`) — the scheduling hot path
+    carries no profiler hook at all.  The ledger lives here, not on the
+    kernel, so a profile handed to a rebuilt kernel
+    (:meth:`~repro.sim.engine.Simulator.hand_over`) keeps counting.
 
     ``wall_sample_every`` trades fidelity for overhead: 1 (default)
     wall-times every callback; N times every N-th event and scales the
@@ -276,6 +279,12 @@ class SimProfiler:
                 f"depth_timeline_every must be >= 1, got {depth_timeline_every}"
             )
         self.profile = SimProfile(wall_sample_every=wall_sample_every)
+        #: The kernel this profiler is installed on, the profiler it
+        #: replaced there (restored when this window closes), and the
+        #: kernel's ``(seq, now)`` when the window reached it.
+        self.kernel = None
+        self.outer: "SimProfiler | None" = None
+        self.window_base = (0, 0)
         self._wall_start = time.perf_counter()
         self._sample_every = wall_sample_every
         self._depth_every = depth_timeline_every
@@ -344,17 +353,12 @@ class SimProfiler:
         """The queue discarded a cancelled event."""
         self._cancelled += 1
 
-    def finish(
-        self,
-        queue_pushes: int = 0,
-        queue_depth_high_water: int = 0,
-        sim_time_ps: int = 0,
-    ) -> SimProfile:
+    def finish(self) -> SimProfile:
         """Close the window: record wall time, attribute it, return.
 
-        The queue accounting and simulated-time advance are passed in by
-        the simulator (which already tracks them for free) rather than
-        observed per event.
+        The queue accounting and simulated-time advance are already on
+        :attr:`profile`: the simulator adds them from its own counters
+        rather than observing them per event.
         """
         profile = self.profile
         profile.wall_time_s = time.perf_counter() - self._wall_start
@@ -370,9 +374,6 @@ class SimProfiler:
             name = names[k]
             events_by_source[name] = events_by_source.get(name, 0) + count
         profile.events_by_source = events_by_source
-        profile.sim_time_ps = sim_time_ps
-        profile.queue_pushes = queue_pushes
-        profile.queue_depth_high_water = queue_depth_high_water
         profile.queue_pops_cancelled = self._cancelled
         profile.depth_timeline = self._depth_timeline
         profile.wall_sampled_events = self._sampled_events

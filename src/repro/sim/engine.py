@@ -100,6 +100,11 @@ class Simulator:
         self._running = False
         self._queue_hwm = 0
         self._profiler = None
+        #: The run's trace recorder (a
+        #: :class:`~repro.sim.tracing.TraceRecorder`), or None when
+        #: tracing is off.  Every component that records reads it here,
+        #: so one assignment attaches or detaches tracing everywhere.
+        self.tracer = None
 
     @property
     def now(self) -> int:
@@ -417,7 +422,7 @@ class Simulator:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def profile(self, tracer=None, **profiler_options: Any) -> "Iterator[SimProfile]":
+    def profile(self, **profiler_options: Any) -> "Iterator[SimProfile]":
         """Profile the simulator for the duration of a ``with`` block.
 
         Yields a :class:`~repro.obs.profiling.SimProfile` that is filled
@@ -428,37 +433,70 @@ class Simulator:
             print(profile.render())
 
         Profiling nests: an inner ``profile()`` temporarily replaces the
-        outer hook and restores it on exit.  With a ``tracer``
-        (a :class:`~repro.sim.tracing.TraceRecorder`), the profile also
-        reports how many trace records the recorder's ring buffer
+        outer hook and restores it on exit.  When :attr:`tracer` is set,
+        the profile also reports how many trace records its ring buffer
         evicted during the window (``trace_dropped_events``), so
-        flight-recorder truncation is visible instead of silent.
-        Extra keyword arguments configure the
+        flight-recorder truncation is visible instead of silent.  A
+        :meth:`hand_over` moves an open profile to the successor kernel:
+        its events, queue pushes and simulated time then sum over every
+        kernel it ran on, and the block closes it on whichever kernel
+        holds it when it exits.  Keyword arguments configure the
         :class:`~repro.obs.profiling.SimProfiler` (e.g.
         ``wall_sample_every`` for sparser wall-time sampling).
         """
         from repro.obs.profiling import SimProfiler
 
         profiler = SimProfiler(**profiler_options)
-        profiler.attach_depth(lambda: self._depth)
+        tracer = self.tracer
         dropped_before = tracer.dropped if tracer is not None else 0
-        seq_before = self._seq
-        now_before = self._now
-        previous = self._profiler
+        profiler.outer = self._profiler
         self._profiler = profiler
+        self._open_window(profiler)
         try:
             yield profiler.profile
         finally:
-            self._profiler = previous
-            profiler.finish(
-                queue_pushes=self._seq - seq_before,
-                queue_depth_high_water=self._queue_hwm,
-                sim_time_ps=self._now - now_before,
-            )
+            kernel = profiler.kernel
+            kernel._close_window(profiler)
+            kernel._profiler = profiler.outer
+            profiler.finish()
             if tracer is not None:
                 profiler.profile.trace_dropped_events = (
                     tracer.dropped - dropped_before
                 )
+
+    def _open_window(self, profiler) -> None:
+        """Count ``profiler``'s queue pushes and time on this kernel
+        from now, and let it sample this kernel's queue depth."""
+        profiler.kernel = self
+        profiler.window_base = (self._seq, self._now)
+        profiler.attach_depth(lambda: self._depth)
+
+    def _close_window(self, profiler) -> None:
+        """Add this kernel's share of ``profiler``'s window to its profile."""
+        seq, now = profiler.window_base
+        profile = profiler.profile
+        profile.queue_pushes += self._seq - seq
+        profile.sim_time_ps += self._now - now
+        profile.queue_depth_high_water = max(
+            profile.queue_depth_high_water, self._queue_hwm)
+
+    def hand_over(self, successor: "Simulator") -> None:
+        """Move this kernel's run-level observers to ``successor``.
+
+        A rollback replaces the whole system, kernel included; calling
+        this once the rebuilt kernel has replayed keeps the run observed.
+        The :attr:`tracer` moves, and so does every open profile (the
+        installed one and the outer ones it replaced): each keeps its
+        ledger, adds this kernel's share of its window, and counts on
+        ``successor`` from its current state.
+        """
+        successor.tracer, self.tracer = self.tracer, None
+        profiler = successor._profiler = self._profiler
+        self._profiler = None
+        while profiler is not None:
+            self._close_window(profiler)
+            successor._open_window(profiler)
+            profiler = profiler.outer
 
     def register_metrics(self, registry: "MetricsRegistry") -> None:
         """Publish kernel health series on a metrics registry.

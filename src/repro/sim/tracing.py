@@ -172,12 +172,6 @@ class TraceRecorder:
 
         return chrome_trace_json(self.records, spans=spans)
 
-    def register_metrics(self, registry) -> None:
-        """Publish recorder health: the lazy ``trace.dropped_events``
-        counter (ring-buffer evictions) and ``trace.records`` gauge."""
-        registry.counter_fn("trace.dropped_events", lambda: self.dropped)
-        registry.gauge_fn("trace.records", lambda: len(self._records))
-
     def stats(self) -> dict[str, int]:
         """Recorder health: records held, capacity and drop count."""
         return {
@@ -195,7 +189,9 @@ class TraceRecorder:
 
 
 class NullTracer(TraceRecorder):
-    """A recorder that drops everything; the default when tracing is off."""
+    """A recorder that drops everything.  Unused by the simulator
+    (tracing is off when ``sim.tracer`` is None); kept while the
+    end-to-end benchmark names ``NullTracer.record`` as an entry point."""
 
     def __init__(self) -> None:
         super().__init__(kinds=())

@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Callable, Iterable
 
 from repro.network.header import CHANEND_TYPE, ChanendAddress
-from repro.sim import EventHandle, Frequency, Simulator, TraceRecorder
+from repro.sim import EventHandle, Frequency, Simulator
 from repro.xs1.assembler import Program
 from repro.xs1.chanend import Chanend
 from repro.xs1.errors import ResourceError, TrapError
@@ -91,16 +91,12 @@ class XCore:
         fabric: Fabric,
         config: CoreConfig | None = None,
         name: str | None = None,
-        tracer: TraceRecorder | None = None,
     ):
         self.sim = sim
         self.node_id = node_id
         self.fabric = fabric
         self.config = config or CoreConfig()
         self.name = name or f"core{node_id}"
-        #: Optional trace sink for ``issue`` records (set via
-        #: MachineAssembly.set_tracer); None when tracing is off.
-        self.tracer = tracer
         self.memory = Sram(self.config.sram_bytes)
         self.threads: list[HardwareThread] = []
         self._chanends = [Chanend(self, i) for i in range(self.config.num_chanends)]
@@ -339,7 +335,8 @@ class XCore:
         rotation = self._rotation
         if not rotation:
             return
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         cycle = (self._cycle_anchor
                  + (now - self._anchor_time) // self._frequency.period_ps)
         skipped = 0
@@ -361,15 +358,15 @@ class XCore:
             if outcome is not StepOutcome.PAUSED:  # issued or retired-and-halted
                 thread.next_issue_cycle = cycle + _DEPTH
                 self.stats.slots_issued += 1
-                if self.tracer is not None:
-                    self.tracer.record(now, self.name, "issue", thread.name)
+                if sim.tracer is not None:
+                    sim.tracer.record(now, self.name, "issue", thread.name)
         if self._ticking or not rotation:
             return
         self._ticking = True
         anchor = self._anchor_time
         period = self._frequency.period_ps
         edges = (now - anchor) // period + 1
-        handle = self.sim.schedule_at(anchor + edges * period, self._tick)
+        handle = sim.schedule_at(anchor + edges * period, self._tick)
         if len(rotation) < _DEPTH:
             # The next edge is cycle _cycle_anchor + edges.
             bubbles = min(map(_next_issue, rotation)) - self._cycle_anchor - edges

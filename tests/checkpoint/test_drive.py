@@ -20,6 +20,7 @@ from repro.checkpoint import (
     canonical_json,
 )
 from repro.obs.perf import RunHeartbeat
+from repro.obs.trace_export import to_jsonl
 from repro.sim import us
 
 
@@ -105,8 +106,7 @@ SCENARIOS = {
 def attempt(run, kill, every_beat):
     heartbeat = None
     if every_beat is not None:
-        heartbeat = RunHeartbeat(every_beat,
-                                 metrics=run.context.system.metrics)
+        heartbeat = RunHeartbeat(every_beat)
     recovery = run.run(kill_after_events=kill, heartbeat=heartbeat)
     return {
         "recovery": recovery.to_json(),
@@ -167,3 +167,39 @@ def test_scenarios_exercise_what_they_name(tmp_path):
                  "policy-kills"):
         assert [o["outcome"] for o in outcomes[name]] == \
             ["killed", "completed"], name
+
+
+@pytest.mark.parametrize("cls", [ResumableRun, StepRun])
+def test_rollback_hands_observers_to_rebuilt_system(cls):
+    """Observers attached once, to the system the run opened, see the
+    whole run when a rollback restarts it from t=0 on a rebuilt system:
+    the trace, the profile and the heartbeat's metrics all follow it."""
+    workload, params = WATCHDOG
+    run = cls(workload, params)
+    tracer = run.context.system.trace()
+    heartbeat = RunHeartbeat(500)
+    with run.context.system.sim.profile() as profile:
+        recovery = run.run(heartbeat=heartbeat).to_dict()
+    assert recovery["rollbacks"] == 1
+    assert recovery["attempts"][0]["resumed_from"] is None
+
+    fresh = ResumableRun(workload, dict(params, masked=[0]))
+    fresh_tracer = fresh.context.system.trace()
+    fresh.run()
+    assert fresh.rollbacks == 0
+    events = fresh.context.system.sim.events_processed
+    assert events == recovery["final"]["events_processed"] == 3562
+
+    # The first attempt's records, then the masked run's byte for byte.
+    assert (len(tracer), len(fresh_tracer)) == (778 + 1394, 1394)
+    assert to_jsonl(tracer.records[778:]) == fresh_tracer.to_jsonl()
+    # Both attempts' events: 1991 before the rollback, then the rerun.
+    assert profile.events_total == 1991 + events
+    # Every beat reads the metrics of the system being driven, so the
+    # deltas telescope to the rebuilt kernel's event count.
+    assert len(heartbeat.lines) == 12
+    assert all(line["metrics_delta"] for line in heartbeat.lines)
+    assert sum(line["metrics_delta"].get("sim.events_processed", 0)
+               for line in heartbeat.lines) == events
+    assert canonical_json(run.final_report()) == \
+        canonical_json(fresh.final_report())

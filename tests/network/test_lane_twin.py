@@ -26,13 +26,11 @@ import random
 
 import pytest
 
-import repro.checkpoint.resume as resume
 from repro import SwallowSystem
 from repro.checkpoint import CheckpointPolicy, ResumableRun, Snapshot, build_workload
 from repro.checkpoint.workloads import _stream_route
 from repro.network.token import CT_END
 from repro.sim import EventHandle, Simulator
-from repro.sim.tracing import TraceRecorder
 from repro.xs1 import BehavioralThread, CheckCt, Compute, RecvWord, SendCt, SendWord
 
 #: Capture a checkpoint bundle every this many events.
@@ -174,22 +172,21 @@ class _BundleRun(ResumableRun):
 
 def test_watchdog_rollback(monkeypatch):
     def scenario():
-        tracer = TraceRecorder()
-
-        def traced_build(name, params):
-            context = build_workload(name, params)
-            context.system.trace(tracer=tracer)
-            return context
-
-        # Every attempt's system, the rolled-back rebuild included,
-        # records into the one tracer.
-        with monkeypatch.context() as patch:
-            patch.setattr(resume, "build_workload", traced_build)
-            run = _BundleRun("watchdog_stream", {"words": 24, "seed": 0},
-                             policy=CheckpointPolicy(every_events=EVERY,
-                                                     retain=4))
-            recovery = run.run()
+        run = _BundleRun("watchdog_stream", {"words": 24, "seed": 0},
+                         policy=CheckpointPolicy(every_events=EVERY,
+                                                 retain=4))
+        # One tracer on the opened system, as `repro run --observe
+        # trace` attaches it; the rollback hands it to the rebuilt one.
+        tracer = run.context.system.trace()
+        recovery = run.run()
         assert recovery.payload["rollbacks"] == 1
+        # Both attempts recorded: time steps back once, to no earlier
+        # than the checkpoint the second attempt resumed from.
+        resumed = recovery.payload["attempts"][0]["resumed_from"]
+        times = [record.time_ps for record in tracer]
+        back = [later for earlier, later in zip(times, times[1:])
+                if later < earlier]
+        assert len(back) == 1 and back[0] >= resumed["time_ps"]
         sim = run.context.system.sim
         return {
             "recovery": recovery.to_json(),

@@ -63,8 +63,7 @@ class TestRunHeartbeat:
         cores = []
         for _ in range(2):
             run = ResumableRun("faults_stream", {"words": 12, "seed": 3})
-            heartbeat = RunHeartbeat(
-                500, metrics=run.context.system.metrics)
+            heartbeat = RunHeartbeat(500)
             run.run(heartbeat=heartbeat)
             assert heartbeat.beats >= 2
             cores.append(heartbeat.core_jsonl())

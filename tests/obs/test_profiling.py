@@ -67,6 +67,34 @@ class TestSimulatorProfile:
         sim.schedule(0, lambda: None)
         sim.run()  # must not touch the sealed profile
 
+    def test_hand_over_moves_tracer_and_open_profiles(self):
+        """Both nested profiles follow a hand-over: each sums its queue
+        pushes and time over the two kernels, the inner one keeps its
+        event ledger, and both blocks close on the successor."""
+        from repro.sim import TraceRecorder
+
+        first, second = Simulator(), Simulator()
+        tracer = first.tracer = TraceRecorder()
+        for delay in (10, 20, 30):
+            first.schedule(delay, lambda: None)
+        second.schedule(7, lambda: None)
+        with first.profile() as outer:
+            with first.profile() as inner:
+                first.schedule(5, lambda: None)
+                first.run()
+                first.hand_over(second)
+                second.schedule(9, lambda: None)
+                second.run()
+            assert second._profiler is not None
+        assert first._profiler is None and second._profiler is None
+        assert first.tracer is None and second.tracer is tracer
+        assert inner.events_total == 4 + 2
+        assert outer.events_total == 0  # the inner hook held the ledger
+        for profile in (inner, outer):
+            assert profile.queue_pushes == 2
+            assert profile.sim_time_ps == 30 + 9
+            assert profile.queue_depth_high_water == 4
+
     def test_profile_render_and_dict(self):
         sim = Simulator()
         sim.schedule(0, lambda: None)
@@ -243,7 +271,7 @@ class TestSystemProfile:
             bt r0, loop
             freet
         """))
-        with system.profile() as profile:
+        with system.sim.profile() as profile:
             system.run()
         assert profile.events_total > 0
         assert "XCore._tick" in profile.events_by_source

@@ -1,4 +1,4 @@
-"""Trace-recorder overflow must surface in metrics and the sim profile."""
+"""Trace-recorder overflow must surface in the sim profile."""
 
 from repro import Compute, SwallowSystem
 
@@ -15,16 +15,9 @@ def run_busy_traced(capacity):
 
 
 class TestDroppedEvents:
-    def test_metric_tracks_ring_buffer_evictions(self):
-        system, recorder = run_busy_traced(capacity=1)
-        system.run()
-        assert recorder.dropped > 0
-        snapshot = system.metrics_snapshot()
-        assert snapshot.value("trace.dropped_events") == recorder.dropped
-
     def test_profile_surfaces_drops(self):
         system, recorder = run_busy_traced(capacity=1)
-        with system.profile() as profile:
+        with system.sim.profile() as profile:
             system.run()
         assert profile.trace_dropped_events == recorder.dropped > 0
         assert f"TRACE DROPPED {recorder.dropped}" in profile.render()
@@ -32,15 +25,8 @@ class TestDroppedEvents:
 
     def test_unbounded_recorder_drops_nothing(self):
         system, recorder = run_busy_traced(capacity=None)
-        with system.profile() as profile:
+        with system.sim.profile() as profile:
             system.run()
         assert recorder.dropped == 0
         assert profile.trace_dropped_events == 0
         assert "TRACE DROPPED" not in profile.render()
-
-    def test_reattaching_tracer_does_not_duplicate_series(self):
-        system, recorder = run_busy_traced(capacity=1)
-        system.trace(capacity=2)  # second attach reuses the lazy series
-        system.run()
-        snapshot = system.metrics_snapshot()  # raises on duplicate keys
-        assert snapshot.value("trace.dropped_events") == system.tracer.dropped

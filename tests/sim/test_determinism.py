@@ -112,7 +112,7 @@ class TestSystemDeterminism:
         def run_once():
             sim = Simulator()
             machine = build_machine(sim, slices_x=2)
-            tracer = TraceRecorder(kinds={"issue"})
+            sim.tracer = TraceRecorder(kinds={"issue"})
             program = assemble("""
                 ldc r0, 50
             loop:
@@ -122,9 +122,8 @@ class TestSystemDeterminism:
             """)
             for board in machine.slices:
                 for core in board.cores[:4]:
-                    core.tracer = tracer
                     core.spawn(program)
             sim.run()
-            return tracer.digest(), sim.now, sim.events_processed
+            return sim.tracer.digest(), sim.now, sim.events_processed
 
         assert run_once() == run_once()

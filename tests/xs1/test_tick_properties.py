@@ -59,8 +59,8 @@ class PerCycleCore(XCore):
             if outcome is not StepOutcome.PAUSED:
                 thread.next_issue_cycle = cycle + HardwareThread.PIPELINE_DEPTH
                 self.stats.slots_issued += 1
-                if self.tracer is not None:
-                    self.tracer.record(self.sim.now, self.name, "issue", thread.name)
+                if self.sim.tracer is not None:
+                    self.sim.tracer.record(self.sim.now, self.name, "issue", thread.name)
             break
         else:
             self.stats.bubbles_due += 1
