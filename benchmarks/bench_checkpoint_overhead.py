@@ -11,6 +11,7 @@ field-by-field verification).  Results also land as JSON in
 ``benchmarks/out/checkpoint_overhead.json``.
 """
 
+import gc
 import json
 import time
 from pathlib import Path
@@ -32,12 +33,19 @@ def measure(slices_x: int) -> dict:
     cores = len(context.system.cores)
     context.system.sim.run(max_events=CAPTURE_AT)
 
+    # Each timed region starts from a collected heap, so a full
+    # collection owed to garbage the build or run left behind (a 40 ms
+    # pause on the 64-core heap) is charged to neither capture nor
+    # restore; which region it lands in shifts with any allocation
+    # elsewhere in the process.
+    gc.collect()
     wall = time.perf_counter()
     snapshot = context.capture(setup={"workload": WORKLOAD, "params": params})
     capture_s = time.perf_counter() - wall
     bundle = snapshot.to_json()
 
     # Restore = validate + rebuild + deterministic replay + verify.
+    gc.collect()
     wall = time.perf_counter()
     reloaded = Snapshot.from_json(bundle)
     resumed = ResumableRun.resume(reloaded)

@@ -11,19 +11,19 @@ axes at once.  :mod:`repro.dse` turns that question into a pipeline:
    score each point.
 2. **Run it.**  ``run_sweep`` expands the spec into content-addressed
    farm jobs and executes them on a worker pool; the per-job results
-   fold into a canonical, digest-stable ``dse-report/1`` document.
+   fold into a canonical, digest-stable report, written with the front
+   and the other exports into the sweep directory.
 3. **Extract the front.**  ``pareto_front`` splits the points into the
    non-dominated front (with the knee — the most balanced point —
    flagged) and the dominated rest, each pruned point recording *which*
    front point beats it and by how much.  Objectives are a view, not
    part of the simulation: re-scoring the same report over different
    axes prunes different points without re-running anything.
-4. **Prove the caching.**  The same spec resubmitted against a fresh
-   campaign sharing the result cache completes without simulating
-   anything, and folds to byte-identical report and front JSON.
+4. **Prove the caching.**  The same spec run into a fresh sweep
+   directory sharing the result cache completes without simulating
+   anything, and writes byte-identical report and front JSON.
 
-The same flow is scriptable as ``python -m repro dse submit/run/
-report/pareto``.
+The same flow is ``python -m repro sweep SPEC --dir DIR``.
 
 Run:  python examples/dse_pareto.py
 """
@@ -34,11 +34,8 @@ from pathlib import Path
 from repro.dse import (
     SweepSpec,
     ascii_scatter,
-    front_csv,
-    front_json,
     pareto_acceptance_check,
     pareto_front,
-    report_json,
     run_sweep,
 )
 from repro.dse.pareto import render as render_front
@@ -81,8 +78,8 @@ def main() -> None:
         print()
         print(ascii_scatter(front))
         print()
-        print("-- front as CSV ----------")
-        print(front_csv(front).strip())
+        print("-- front.csv, as the sweep wrote it ----------")
+        print((root / "cold" / "front.csv").read_text().strip())
         print()
 
         # Objectives are a lens on the finished report.  Dropping the
@@ -96,19 +93,19 @@ def main() -> None:
         print(render_front(speed_front))
         print()
 
-        # Warm pass: fresh campaign, shared cache — nothing simulated,
-        # same bytes out.
-        warm_report, warm_farm = run_sweep(
+        # Warm pass: fresh sweep directory, shared cache — nothing
+        # simulated, same bytes out.
+        _, warm_farm = run_sweep(
             SPEC, root / "warm", num_workers=2,
             cache_dir=root / "cold" / "cache",
         )
         cache = warm_farm.to_dict()["cache"]
         print(f"-- warm pass: {cache['hits']} cache hits "
               f"({cache['hit_rate']:.0%} hit rate) ----------")
-        print("report byte-identical: "
-              f"{report_json(warm_report) == report_json(report)}")
-        print("front byte-identical: "
-              f"{front_json(pareto_front(warm_report)) == front_json(front)}")
+        for name, label in (("report.json", "report"), ("front.json", "front")):
+            same = ((root / "warm" / name).read_bytes()
+                    == (root / "cold" / name).read_bytes())
+            print(f"{label} byte-identical: {same}")
 
 
 if __name__ == "__main__":

@@ -16,18 +16,21 @@ Commands:
   ``--observe trace,profile`` and ``--heartbeat-every`` outputs.
   ``--checkpoint-every``/``--checkpoint-dir`` capture bundles, a
   ``--checkpoint-dir`` that already holds bundles is resumed, and
-  ``--kill-after-events`` simulates a crash (exit code 75);
-* ``farm`` — the campaign farm: ``submit`` expands a matrix spec
-  (sweep over topology x frequency x seeds) into content-addressed
-  jobs, ``run`` fans them out across worker processes with per-job
-  checkpoints and heartbeats (``--preempt JOB@N`` kills an attempt
-  mid-run; it resumes byte-identically on another worker), ``status``
-  shows the live heartbeat-fed progress view, and ``report`` prints
-  the aggregated campaign (unchanged configs are served from the
-  result cache instead of re-simulating);
-* ``dse`` — design-space exploration sweeps through the farm and
-  their Pareto fronts;
-* ``policies`` — the scheduler/DVFS policy-zoo ablation.
+  ``--kill-after-events`` simulates a crash (exit code 75).  Exit 1
+  when the stream was not delivered or the run ended ``exhausted``
+  (its model raised ``ResourceError``);
+* ``sweep [SPEC] --dir DIR`` — submit a sweep spec (a workload, base
+  params, sweep axes and objectives; see :class:`repro.dse.SweepSpec`)
+  into DIR, or resume DIR's saved spec; fan its content-addressed jobs
+  out across worker processes with per-job checkpoints and heartbeats
+  (``--preempt JOB@N`` kills an attempt mid-run; it resumes
+  byte-identically on another worker; unchanged configs are served
+  from the result cache); print the folded report, its Pareto front
+  and the farm's scheduling summary, and write ``report.json``,
+  ``front.json``, ``front.csv``, ``timeline.json``, ``farm.json`` and
+  (for netscope jobs) ``heatmap.json`` into DIR.  Exit 0 when every
+  job is done, 1 when one failed, 75 while jobs remain, 2 on a bad
+  spec; ``--status`` prints the live heartbeat view.
 
 The simulator's own speed is measured outside the CLI, by the
 end-to-end benchmark (``benchmarks/e2e/run.py`` and ``compare.py``).
@@ -42,6 +45,7 @@ import sys
 from contextlib import nullcontext
 
 from repro.checkpoint.resume import EXIT_KILLED
+from repro.farm.worker import DEFAULT_CHECKPOINT_EVERY
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -293,288 +297,56 @@ def cmd_run(args: argparse.Namespace) -> int:
     if tracer is not None:
         print(f"recorded {len(tracer)} trace records; {tracer!r}")
     print(recovery.render())
+    if run.exhausted is not None:
+        print(f"  exhausted         {run.exhausted}")
     for path in written:
         print(f"wrote {path}")
-    return 1 if document["delivered_ok"] is False else 0
-
-
-def _farm_handles(args: argparse.Namespace):
-    """(queue, cache) from the shared farm directory flags."""
-    from repro.farm import JobQueue, ResultCache
-
-    cache_dir = args.cache_dir if args.cache_dir else f"{args.dir}/cache"
-    return JobQueue(args.dir), ResultCache(cache_dir)
-
-
-def _parse_preempt(specs: list[str]) -> dict[str, int]:
-    """``JOB_ID@EVENTS`` flags -> {job_id: events}."""
-    preempt: dict[str, int] = {}
-    for text in specs or ():
-        job_id, _, events = text.partition("@")
-        if not job_id or not events.isdigit() or int(events) < 1:
-            raise SystemExit(
-                f"farm: bad --preempt {text!r} (want JOB_ID@EVENTS)"
-            )
-        preempt[job_id] = int(events)
-    return preempt
-
-
-def cmd_farm(args: argparse.Namespace) -> int:
-    from repro.farm import (
-        MatrixSpec,
-        WorkerPool,
-        farm_progress,
-        farm_report,
-        render_progress,
-    )
-
-    queue, cache = _farm_handles(args)
-    if args.farm_command == "submit":
-        matrix = MatrixSpec.from_file(args.matrix)
-        before = len(queue)
-        records = queue.submit_all(matrix.jobs())
-        print(f"submitted {len(records) - before} new / {len(records)} total "
-              f"jobs to {queue.directory} "
-              f"({matrix.workload}, {len(matrix.sweep)} sweep axes)")
-        for record in records[:args.show]:
-            print(f"  {record.job_id}  {json.dumps(record.spec.params, sort_keys=True)}")
-        if len(records) > args.show:
-            print(f"  ... and {len(records) - args.show} more")
-        return 0
-    if args.farm_command == "run":
-        if args.matrix:
-            queue.submit_all(MatrixSpec.from_file(args.matrix).jobs())
-        if not len(queue):
-            print("farm run: queue is empty; submit a matrix first",
-                  file=sys.stderr)
-            return 2
-        pool = WorkerPool(queue, cache, num_workers=args.workers,
-                          checkpoint_every=args.checkpoint_every)
-        report = pool.run(preempt=_parse_preempt(args.preempt))
-        document = report.to_dict()
-        if args.report_out:
-            with open(args.report_out, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-        if args.json:
-            print(json.dumps(document, sort_keys=True))
-        else:
-            print(report.render())
-            print(f"  wall time         {pool.wall_s:.2f} s "
-                  f"({document['total_jobs'] / pool.wall_s:.1f} jobs/s)")
-            if args.report_out:
-                print(f"wrote farm report to {args.report_out}")
-        return 0 if document["counts"]["failed"] == 0 else 1
-    if args.farm_command == "status":
-        progress = farm_progress(queue, queue.directory / "work")
-        if args.json:
-            print(json.dumps(progress, sort_keys=True))
-        else:
-            print(render_progress(progress))
-        return 0
-    # report
-    report = farm_report(queue, cache, queue.directory / "work")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-    pareto_note = None
-    if args.pareto_out:
-        from repro.dse import front_json, pareto_from_farm_report
-
-        front = pareto_from_farm_report(
-            report.to_dict(), objectives=_parse_objectives(args.objective)
-        )
-        with open(args.pareto_out, "w", encoding="utf-8") as handle:
-            handle.write(front_json(front))
-        pareto_note = (
-            f"wrote pareto front ({len(front['front'])}/{front['points']} "
-            f"non-dominated) to {args.pareto_out}"
-        )
-    heat_note = None
-    if args.heatmap_out:
-        from repro.farm import farm_heatmap
-
-        fleet = farm_heatmap(queue, cache)
-        if fleet is None:
-            heat_note = ("no netscope heat maps in this campaign "
-                         "(submit jobs with \"netscope\": true)")
-        else:
-            with open(args.heatmap_out, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(fleet, sort_keys=True,
-                                        separators=(",", ":")))
-            heat_note = (f"wrote fleet heat map ({fleet['jobs']} job(s), "
-                         f"{len(fleet['grids'])} grid(s)) to "
-                         f"{args.heatmap_out}")
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        print(report.render())
-        if args.out:
-            print(f"wrote farm report to {args.out}")
-        if pareto_note:
-            print(pareto_note)
-        if heat_note:
-            print(heat_note)
+    if run.exhausted is not None or document["delivered_ok"] is False:
+        return 1
     return 0
 
 
-def _parse_objectives(specs: list[str] | None):
-    """``KEY:min|max`` flags -> objective dicts (None = spec defaults)."""
-    if not specs:
-        return None
-    objectives = []
-    for text in specs:
-        key, sep, goal = text.partition(":")
-        if not key or (sep and goal not in ("min", "max")):
-            raise SystemExit(
-                f"bad --objective {text!r} (want KEY or KEY:min / KEY:max)"
-            )
-        objectives.append({"key": key, "goal": goal or "min"})
-    return objectives
-
-
-def cmd_dse(args: argparse.Namespace) -> int:
-    """Design-space exploration: sweep, fold, extract the front."""
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Submit (or resume) a sweep, drive it, print and export its report."""
     from repro import dse
+    from repro.dse.pareto import render as render_front
+    from repro.dse.report import render as render_report
+    from repro.farm import FarmError, JobQueue, farm_progress, render_progress
 
-    if args.dse_command == "submit":
-        spec = dse.SweepSpec.from_file(args.sweep)
-        records = dse.submit_sweep(spec, args.dir)
-        print(f"submitted sweep {spec.sweep_id} "
-              f"({len(records)} point(s), {len(spec.sweep)} axes, "
-              f"objectives {', '.join(str(o) for o in spec.objectives)}) "
-              f"to {args.dir}")
-        return 0
-    if args.dse_command == "run":
-        spec = (
-            dse.SweepSpec.from_file(args.sweep)
-            if args.sweep else dse.load_spec(args.dir)
-        )
+    try:
+        if args.status and args.spec:
+            raise FarmError("--status runs nothing; drop SPEC")
+        spec = (dse.SweepSpec.from_file(args.spec) if args.spec
+                else dse.load_spec(args.dir))
+        if args.status:
+            dirs = dse.SweepDirs(args.dir)
+            print(render_progress(
+                farm_progress(JobQueue(dirs.queue_dir), dirs.work_dir)
+            ))
+            return 0
         report, farm = dse.run_sweep(
             spec, args.dir, num_workers=args.workers,
-            preempt=_parse_preempt(args.preempt),
-            cache_dir=args.cache_dir,
+            preempt=dict(args.preempt or ()), cache_dir=args.cache_dir,
             checkpoint_every=args.checkpoint_every,
         )
-        if args.report_out:
-            with open(args.report_out, "w", encoding="utf-8") as handle:
-                handle.write(dse.report_json(report))
-        if args.json:
-            print(json.dumps(report, sort_keys=True))
-        else:
-            from repro.dse.report import render
-
-            print(render(report))
-            payload = farm.to_dict()
-            print(f"  farm: {payload['cache']['hits']} cache hit(s), "
-                  f"{payload['preemptions']} preemption(s), "
-                  f"{payload['counts']['failed']} failed")
-            if args.report_out:
-                print(f"wrote dse report to {args.report_out}")
-        counts = farm.to_dict()["counts"]
-        unfinished = counts["pending"] + counts["running"] + counts["preempted"]
-        if unfinished:
-            return EXIT_KILLED  # resumable: re-run the same directory
-        return 0 if counts["failed"] == 0 else 1
-    if args.dse_command == "report":
-        report = dse.collect_report(None, args.dir, cache_dir=args.cache_dir)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(dse.report_json(report))
-        if args.timeline_out:
-            front = dse.pareto_front(report)
-            timeline = dse.sweep_timeline(report, front)
-            with open(args.timeline_out, "w", encoding="utf-8") as handle:
-                from repro.dse.exports import timeline_json
-
-                handle.write(timeline_json(timeline))
-        if args.heatmap_out:
-            from repro.dse.engine import SweepDirs
-            from repro.dse.exports import overlay_json
-            from repro.farm import JobQueue, ResultCache
-
-            dirs = SweepDirs(args.dir, args.cache_dir)
-            overlay = dse.fleet_overlay(
-                JobQueue(dirs.queue_dir), ResultCache(dirs.cache_dir),
-                dse.pareto_front(report),
-            )
-            if overlay is None:
-                print("no netscope heat maps in this sweep "
-                      "(add \"netscope\": true to the base params)",
-                      file=sys.stderr)
-            else:
-                with open(args.heatmap_out, "w", encoding="utf-8") as handle:
-                    handle.write(overlay_json(overlay))
-        if args.json:
-            print(json.dumps(report, sort_keys=True))
-        else:
-            from repro.dse.report import render
-
-            print(render(report))
-        return 0
-    # pareto
-    report = dse.collect_report(None, args.dir, cache_dir=args.cache_dir)
-    front = dse.pareto_front(
-        report, objectives=_parse_objectives(args.objective)
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dse.front_json(front))
-    if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as handle:
-            handle.write(dse.front_csv(front))
-    if args.json:
-        print(json.dumps(front, sort_keys=True))
-    else:
-        from repro.dse.pareto import render
-
-        print(render(front))
-        if args.scatter:
-            print(dse.ascii_scatter(front))
-    return 0
-
-
-def cmd_policies(args: argparse.Namespace) -> int:
-    """Run the scheduler/DVFS policy-zoo ablation and report it."""
-    from repro.nos.ablation import (
-        DEFAULT_KS,
-        DEFAULT_POLICIES,
-        render,
-        report_json,
-        run_ablation,
-    )
-
-    policies = (
-        tuple(name.strip() for name in args.policies.split(","))
-        if args.policies else DEFAULT_POLICIES
-    )
-    ks = (
-        tuple(int(value) for value in args.ks.split(","))
-        if args.ks else DEFAULT_KS
-    )
-    campaigns = tuple(
-        {
-            "seed": index,
-            "kills": min(index, 4),
-            "kill_from_us": 5.0,
-            "kill_every_us": 6.0,
-        }
-        for index in range(1, args.campaigns + 1)
-    )
-    report = run_ablation(
-        policies=policies,
-        campaigns=campaigns,
-        ks=ks,
-        base={"tasks": args.tasks},
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report_json(report))
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(render(report))
-        if args.out:
-            print(f"wrote policy-zoo report to {args.out}")
+    except (FarmError, FileNotFoundError) as err:
+        print(f"sweep: {err}", file=sys.stderr)
+        return 2
+    front = dse.pareto_front(report)
+    print(render_report(report))
+    print()
+    print(render_front(front))
+    if len(front["objectives"]) > 1:
+        print(dse.ascii_scatter(front))
+    print(farm.render())
+    written = [name for name in dse.EXPORTS
+               if os.path.exists(os.path.join(args.dir, name))]
+    print(f"wrote {', '.join(written)} to {args.dir}")
+    counts = farm.to_dict()["counts"]
+    if counts["failed"]:
+        return 1
+    if counts["pending"] + counts["running"] + counts["preempted"]:
+        return EXIT_KILLED  # resumable: rerun the same directory
     return 0
 
 
@@ -586,23 +358,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_dir_flags(sub: argparse.ArgumentParser, command: str) -> None:
-    """The ``--dir``/``--cache-dir`` pair every farm and dse command takes.
-
-    The cache directory defaults to ``<dir>/cache`` but is its own
-    flag: a cache shared across directories is how repeated sweeps (and
-    CI's second pass) hit instead of re-simulating.
-    """
-    noun, holds = {
-        "farm": ("farm", "durable queue + work dirs"),
-        "dse": ("sweep", "spec + queue + cache + work"),
-    }[command]
-    sub.add_argument("--dir", default=command, metavar="DIR",
-                     help=f"{noun} directory ({holds})")
-    sub.add_argument("--cache-dir", default=None, metavar="DIR",
-                     help="content-addressed result cache "
-                          f"(default: DIR/cache; share it across {noun} "
-                          "directories to reuse results)")
+def _preempt(text: str) -> tuple[str, int]:
+    """Argparse type for ``--preempt``: ``JOB_ID@EVENTS``."""
+    job_id, _, events = text.partition("@")
+    if not job_id or not events.isdigit() or int(events) < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not JOB_ID@EVENTS (EVENTS >= 1)"
+        )
+    return job_id, int(events)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -665,160 +428,36 @@ def main(argv: list[str] | None = None) -> int:
                      help="emit a JSONL progress snapshot every N kernel "
                           "events (heartbeat.jsonl)")
     run.set_defaults(func=cmd_run)
-    farm = subparsers.add_parser(
-        "farm",
-        help="campaign farm: queue simulation matrices, fan out across "
-             "worker processes, cache results by config digest",
+    sweep = subparsers.add_parser(
+        "sweep",
+        help="run a sweep spec (workload x axes x objectives) across "
+             "worker processes; fold its report and Pareto front "
+             f"(exit {EXIT_KILLED} while jobs remain: rerun to resume)",
     )
-    farm_sub = farm.add_subparsers(dest="farm_command", required=True)
-
-    farm_submit = farm_sub.add_parser(
-        "submit", help="expand a matrix spec and enqueue its jobs"
-    )
-    _add_dir_flags(farm_submit, "farm")
-    farm_submit.add_argument("--matrix", required=True, metavar="FILE",
-                             help="matrix spec JSON "
-                                  "(workload + base params + sweep axes)")
-    farm_submit.add_argument("--show", type=int, default=8,
-                             help="job rows to print")
-    farm_run = farm_sub.add_parser(
-        "run", help="drive every queued job to completion across workers"
-    )
-    _add_dir_flags(farm_run, "farm")
-    farm_run.add_argument("--matrix", default=None, metavar="FILE",
-                          help="also submit this matrix before running")
-    farm_run.add_argument("--workers", type=_positive_int, default=2,
-                          help="worker processes (default 2)")
-    farm_run.add_argument("--checkpoint-every", type=_positive_int,
-                          default=2000, metavar="N",
-                          help="per-job checkpoint cadence (kernel events)")
-    farm_run.add_argument("--preempt", action="append", default=None,
-                          metavar="JOB_ID@EVENTS",
-                          help="kill that job's next attempt after N fresh "
-                               "events (exit 75); it resumes on another "
-                               "worker — repeatable")
-    farm_run.add_argument("--report-out", default=None, metavar="PATH",
-                          help="write the farm report as canonical JSON")
-    farm_run.add_argument("--json", action="store_true",
-                          help="emit the farm report as JSON on stdout")
-    farm_status = farm_sub.add_parser(
-        "status", help="live campaign view (queue states + heartbeats)"
-    )
-    _add_dir_flags(farm_status, "farm")
-    farm_status.add_argument("--json", action="store_true",
-                             help="emit the progress view as JSON")
-    farm_report_cmd = farm_sub.add_parser(
-        "report", help="aggregate the campaign into a farm report"
-    )
-    _add_dir_flags(farm_report_cmd, "farm")
-    farm_report_cmd.add_argument("--out", default=None, metavar="PATH",
-                                 help="write the report as canonical JSON")
-    farm_report_cmd.add_argument("--heatmap-out", default=None,
-                                 metavar="PATH",
-                                 help="merge the jobs' netscope heat maps "
-                                      "into one fleet document (JSON)")
-    farm_report_cmd.add_argument("--pareto-out", default=None, metavar="PATH",
-                                 help="post-hoc Pareto analysis: write the "
-                                      "campaign's non-dominated front as "
-                                      "canonical JSON")
-    farm_report_cmd.add_argument("--objective", action="append", default=None,
-                                 metavar="KEY[:min|max]",
-                                 help="objective axis for --pareto-out "
-                                      "(repeatable; default GIPS/W/pJ-per-"
-                                      "instruction)")
-    farm_report_cmd.add_argument("--json", action="store_true",
-                                 help="emit the report as JSON on stdout")
-    farm.set_defaults(func=cmd_farm)
-    dse = subparsers.add_parser(
-        "dse",
-        help="design-space exploration: declarative sweeps through the "
-             "farm, Pareto-front extraction over configurable objectives",
-    )
-    dse_sub = dse.add_subparsers(dest="dse_command", required=True)
-
-    dse_submit = dse_sub.add_parser(
-        "submit", help="expand a sweep spec and enqueue its design points"
-    )
-    _add_dir_flags(dse_submit, "dse")
-    dse_submit.add_argument("--sweep", required=True, metavar="FILE",
-                            help="sweep spec JSON (workload + base + axes "
-                                 "+ objectives)")
-    dse_run = dse_sub.add_parser(
-        "run",
-        help="drive the sweep to completion and fold the dse report "
-             f"(exit {EXIT_KILLED} if interrupted; re-run to resume)",
-    )
-    _add_dir_flags(dse_run, "dse")
-    dse_run.add_argument("--sweep", default=None, metavar="FILE",
-                         help="submit this sweep spec before running "
-                              "(default: the directory's saved spec)")
-    dse_run.add_argument("--workers", type=_positive_int, default=2,
-                         help="worker processes (default 2)")
-    dse_run.add_argument("--checkpoint-every", type=_positive_int,
-                         default=None, metavar="N",
-                         help="per-point checkpoint cadence (kernel events)")
-    dse_run.add_argument("--preempt", action="append", default=None,
-                         metavar="JOB_ID@EVENTS",
-                         help="kill that point's next attempt after N fresh "
-                              "events (exit 75); it resumes on another "
-                              "worker — repeatable")
-    dse_run.add_argument("--report-out", default=None, metavar="PATH",
-                         help="write the dse-report/1 as canonical JSON")
-    dse_run.add_argument("--json", action="store_true",
-                         help="emit the dse report as JSON on stdout")
-    dse_report = dse_sub.add_parser(
-        "report", help="fold the sweep's cached results into dse-report/1"
-    )
-    _add_dir_flags(dse_report, "dse")
-    dse_report.add_argument("--out", default=None, metavar="PATH",
-                            help="write the report as canonical JSON")
-    dse_report.add_argument("--timeline-out", default=None, metavar="PATH",
-                            help="write a Chrome-trace sweep timeline "
-                                 "(front/knee annotated)")
-    dse_report.add_argument("--heatmap-out", default=None, metavar="PATH",
-                            help="write the fleet heat-map overlay "
-                                 "(netscope jobs only)")
-    dse_report.add_argument("--json", action="store_true",
-                            help="emit the report as JSON on stdout")
-    dse_pareto = dse_sub.add_parser(
-        "pareto", help="extract the non-dominated front from the sweep"
-    )
-    _add_dir_flags(dse_pareto, "dse")
-    dse_pareto.add_argument("--objective", action="append", default=None,
-                            metavar="KEY[:min|max]",
-                            help="objective axis (repeatable; default: the "
-                                 "sweep spec's objectives)")
-    dse_pareto.add_argument("--out", default=None, metavar="PATH",
-                            help="write the pareto-front/1 as canonical JSON")
-    dse_pareto.add_argument("--csv-out", default=None, metavar="PATH",
-                            help="write the front as CSV")
-    dse_pareto.add_argument("--scatter", action="store_true",
-                            help="print the ASCII Pareto scatter")
-    dse_pareto.add_argument("--json", action="store_true",
-                            help="emit the front as JSON on stdout")
-    dse.set_defaults(func=cmd_dse)
-    policies = subparsers.add_parser(
-        "policies",
-        help="run the scheduler/DVFS policy-zoo ablation "
-             "(policies x fault campaigns x k)",
-    )
-    policies.add_argument("--policies", default=None, metavar="NAMES",
-                          help="comma-separated zoo bundle names "
-                               "(default: the whole zoo)")
-    policies.add_argument("--ks", default=None, metavar="KS",
-                          help="comma-separated backup depths "
-                               "(default: 0,1,2)")
-    policies.add_argument("--campaigns", type=_positive_int, default=3,
-                          metavar="N",
-                          help="seeded fault campaigns: campaign i kills "
-                               "min(i, 4) cores (default 3)")
-    policies.add_argument("--tasks", type=_positive_int, default=24,
-                          help="real-time tasks per cell (default 24)")
-    policies.add_argument("--out", default=None, metavar="PATH",
-                          help="write the canonical JSON report here")
-    policies.add_argument("--json", action="store_true",
-                          help="emit the report as JSON on stdout")
-    policies.set_defaults(func=cmd_policies)
+    sweep.add_argument("spec", nargs="?", default=None, metavar="SPEC",
+                       help="sweep spec JSON to submit (default: resume "
+                            "DIR/sweep.json)")
+    sweep.add_argument("--dir", required=True, metavar="DIR",
+                       help="sweep directory (spec, queue, cache, work "
+                            "and exports)")
+    sweep.add_argument("--status", action="store_true",
+                       help="print the live per-job heartbeat view and "
+                            "run nothing")
+    sweep.add_argument("--cache-dir", default=None, metavar="DIR",
+                       help="result cache (default DIR/cache; share it "
+                            "across sweep directories to reuse results)")
+    sweep.add_argument("--workers", type=_positive_int, default=2,
+                       help="worker processes (default 2)")
+    sweep.add_argument("--checkpoint-every", type=_positive_int,
+                       default=DEFAULT_CHECKPOINT_EVERY, metavar="N",
+                       help="per-job checkpoint cadence in kernel events "
+                            f"(default {DEFAULT_CHECKPOINT_EVERY})")
+    sweep.add_argument("--preempt", type=_preempt, action="append",
+                       default=None, metavar="JOB_ID@EVENTS",
+                       help="kill that job's next attempt after N fresh "
+                            f"events (exit {EXIT_KILLED}); it resumes on "
+                            "another worker — repeatable")
+    sweep.set_defaults(func=cmd_sweep)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

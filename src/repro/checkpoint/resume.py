@@ -9,7 +9,7 @@ peeks the queue instead), so the checkpointed run executes the exact
 same event sequence as an uninterrupted one — checkpointing is
 observation, never perturbation.
 
-Three ways a run ends:
+Four ways a run ends:
 
 * **completed** — the queue drained; the final report is byte-identical
   to an uninterrupted run of the same configuration.
@@ -28,6 +28,13 @@ Three ways a run ends:
   move to the rebuilt kernel after its replay
   (:meth:`~repro.sim.engine.Simulator.hand_over`), and the heartbeat
   reads the rebuilt system's metrics.
+* **exhausted** — the model raised a
+  :class:`~repro.xs1.errors.ResourceError` (a fault budget exhausted,
+  a machine with no core or thread left): the run stops where it was
+  raised, and its final report records the error text under
+  ``"exhausted"`` beside the energy and metrics reached by then.  It is
+  a result, not a crash: the sweep caches it and scores it
+  ``survived: false``.
 
 Every recovery action lands in a :class:`RecoveryReport` whose
 canonical JSON is deterministic: the same configuration yields the
@@ -47,6 +54,7 @@ from repro.checkpoint.snapshot import CheckpointError, Snapshot, canonical_json
 from repro.checkpoint.workloads import RunContext, build_workload
 from repro.core.watchdog import RollbackSignal
 from repro.sim import us
+from repro.xs1.errors import ResourceError
 
 #: Exit code of a process whose run was killed mid-flight (EX_TEMPFAIL:
 #: the run is resumable from its checkpoint store, not failed).
@@ -131,6 +139,8 @@ class ResumableRun:
         self.rollbacks = 0
         self.attempts: list[dict] = []
         self.killed = False
+        #: The text of the ResourceError that ended the run, if one did.
+        self.exhausted: str | None = None
         #: Events re-executed by deterministic replay (resume/rollback) —
         #: reconstruction, ledgered separately from fresh execution so
         #: profiles and heartbeats never report inflated events/sec.
@@ -260,7 +270,9 @@ class ResumableRun:
     ) -> RecoveryReport:
         """Run to completion (or the kill point), recovering as needed.
 
-        With a :class:`~repro.obs.perf.RunHeartbeat`, the drive loop
+        A :class:`ResourceError` escaping the model ends the run with
+        outcome ``exhausted`` (see :attr:`exhausted`).  With a
+        :class:`~repro.obs.perf.RunHeartbeat`, the drive loop
         emits a progress line every ``heartbeat.every_events`` fresh
         events (replayed events are reported separately, never counted
         as progress) and a final line when the run ends.  The heartbeat
@@ -284,6 +296,8 @@ class ResumableRun:
                         ) from signal
                     self._rollback(signal)
                     continue
+                except ResourceError as error:
+                    self.exhausted = str(error)
                 if self._heartbeat is not None:
                     self._heartbeat.beat(
                         self.context.system.sim,
@@ -292,6 +306,8 @@ class ResumableRun:
                         checkpoints=self.captures,
                         final=True,
                     )
+                if self.exhausted is not None:
+                    return self.report("exhausted")
                 return self.report("killed" if self.killed else "completed")
         finally:
             if self._heartbeat is not None:
@@ -476,8 +492,15 @@ class ResumableRun:
         })
 
     def final_report(self) -> dict:
-        """The workload's canonical end-of-run document."""
-        return self.context.final_report()
+        """The workload's canonical end-of-run document.
+
+        An exhausted run's report also holds the error text under
+        ``"exhausted"``; a completed run's is the workload's alone.
+        """
+        report = self.context.final_report()
+        if self.exhausted is not None:
+            report["exhausted"] = self.exhausted
+        return report
 
     def __repr__(self) -> str:
         return (

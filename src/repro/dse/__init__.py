@@ -1,25 +1,23 @@
-"""repro.dse — design-space exploration with Pareto-front extraction.
+"""repro.dse — sweeps over workload params, folded and Pareto-pruned.
 
-The engine the ROADMAP's DSE item asks for: declarative sweeps over
+The engine behind ``repro sweep``: one declarative :class:`SweepSpec`
+(a workload, base params, sweep axes, optional objectives) crosses
 topology x link aggregation x slice counts x DVFS points x policy x
-seeds (:class:`SweepSpec`), executed through the campaign farm with
-content-addressed caching (:func:`run_sweep`) or in-process
-(:func:`run_inline`), folded into the canonical ``dse-report/1``
-document (:mod:`repro.dse.report`), and analysed into non-dominated
-fronts with dominance provenance and knee points
-(:mod:`repro.dse.pareto`).  Visual exports live in
+seeds, executes through the campaign farm with content-addressed
+caching (:func:`run_sweep`) or in-process (:func:`run_inline`), folds
+into the canonical ``dse-report/2`` document (:mod:`repro.dse.report`),
+and is analysed into non-dominated fronts with dominance provenance
+and knee points (:mod:`repro.dse.pareto`).  Visual exports live in
 :mod:`repro.dse.exports`; static wiring summaries in
-:mod:`repro.dse.structure`.  ``repro dse`` is the CLI.
+:mod:`repro.dse.structure`.
 """
 
 from repro.dse.engine import (
-    collect_farm_report,
-    collect_report,
+    EXPORTS,
+    SweepDirs,
     load_spec,
     run_inline,
     run_sweep,
-    save_spec,
-    submit_sweep,
 )
 from repro.dse.exports import fleet_overlay, sweep_timeline
 from repro.dse.pareto import (
@@ -27,19 +25,18 @@ from repro.dse.pareto import (
     front_csv,
     front_json,
     pareto_acceptance_check,
-    pareto_from_farm_report,
     pareto_front,
 )
 from repro.dse.report import extract_metrics, fold_results, report_json
 from repro.dse.spec import Objective, SweepSpec, default_objectives
-from repro.dse.structure import structure_summary, structure_sweep
+from repro.dse.structure import structure_summary
 
 __all__ = [
+    "EXPORTS",
     "Objective",
+    "SweepDirs",
     "SweepSpec",
     "ascii_scatter",
-    "collect_farm_report",
-    "collect_report",
     "default_objectives",
     "extract_metrics",
     "fleet_overlay",
@@ -48,14 +45,10 @@ __all__ = [
     "front_json",
     "load_spec",
     "pareto_acceptance_check",
-    "pareto_from_farm_report",
     "pareto_front",
     "report_json",
     "run_inline",
     "run_sweep",
-    "save_spec",
     "structure_summary",
-    "structure_sweep",
-    "submit_sweep",
     "sweep_timeline",
 ]

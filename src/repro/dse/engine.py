@@ -1,22 +1,24 @@
-"""The DSE engine: expand a sweep, execute it, fold the report.
+"""The sweep engine: expand a spec, execute it, fold and export it.
 
 Two execution paths share one result shape:
 
-* **farm mode** (the real path): the sweep expands into the campaign
-  farm — durable :class:`~repro.farm.queue.JobQueue`, worker
-  processes, exit-75 preemption/resume, content-addressed
-  :class:`~repro.farm.cache.ResultCache`.  A killed sweep resumes with
-  ``repro dse run`` again; a repeated sweep completes from cache.
-* **inline mode** (tests, benches, examples): each design point runs
-  in-process via :class:`~repro.checkpoint.resume.ResumableRun`,
-  producing the *identical* canonical result document the farm worker
-  writes — so the folded ``dse-report/1`` is byte-identical between
-  modes, which the test suite asserts.
+* **farm mode** (:func:`run_sweep`, what ``repro sweep`` runs): the
+  sweep expands into the campaign farm — durable
+  :class:`~repro.farm.queue.JobQueue`, worker processes, exit-75
+  preemption/resume, content-addressed
+  :class:`~repro.farm.cache.ResultCache`.  A killed sweep resumes by
+  running it again; a repeated sweep completes from cache.
+* **inline mode** (:func:`run_inline`: tests, benches, examples): each
+  design point runs in-process via
+  :class:`~repro.checkpoint.resume.ResumableRun`, producing the
+  *identical* canonical result document the farm worker writes — so
+  the folded report is byte-identical between modes, which the test
+  suite asserts.
 
-The sweep directory is durable state: ``sweep.json`` (the spec),
-``queue/`` (job records), ``cache/`` (result documents), ``work/``
-(per-job checkpoints/heartbeats).  ``repro dse report`` and ``repro
-dse pareto`` need only the directory.
+The sweep directory is durable state (:class:`SweepDirs`):
+``sweep.json`` (the spec), ``queue/`` (job records), ``cache/``
+(result documents), ``work/`` (per-job checkpoints/heartbeats), plus
+the fixed-name exports :func:`run_sweep` writes (:data:`EXPORTS`).
 """
 
 from __future__ import annotations
@@ -25,15 +27,27 @@ import json
 from pathlib import Path
 
 from repro.farm.cache import ResultCache
-from repro.farm.pool import FarmReport, WorkerPool, farm_report
+from repro.farm.pool import FarmReport, WorkerPool
 from repro.farm.queue import JobQueue
 from repro.farm.spec import FarmError
-from repro.farm.worker import result_document
-from repro.dse.report import fold_results
+from repro.farm.worker import DEFAULT_CHECKPOINT_EVERY, result_document
+from repro.dse.exports import (
+    fleet_overlay,
+    overlay_json,
+    sweep_timeline,
+    timeline_json,
+)
+from repro.dse.pareto import front_csv, front_json, pareto_front
+from repro.dse.report import fold_results, report_json
 from repro.dse.spec import SweepSpec
 
 #: File the sweep's spec persists under inside the sweep directory.
 SPEC_FILENAME = "sweep.json"
+
+#: The exports :func:`run_sweep` writes into the sweep directory;
+#: ``heatmap.json`` only when some job carries netscope.
+EXPORTS = ("report.json", "front.json", "front.csv", "timeline.json",
+           "farm.json", "heatmap.json")
 
 
 class SweepDirs:
@@ -55,19 +69,6 @@ class SweepDirs:
         self.work_dir = self.root / "work"
 
 
-def save_spec(spec: SweepSpec, directory) -> Path:
-    """Persist the spec into the sweep directory (atomic replace)."""
-    dirs = SweepDirs(directory)
-    dirs.root.mkdir(parents=True, exist_ok=True)
-    temp = dirs.spec_path.with_suffix(".tmp")
-    temp.write_text(
-        json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    temp.replace(dirs.spec_path)
-    return dirs.spec_path
-
-
 def load_spec(directory) -> SweepSpec:
     """Load the spec a sweep directory was submitted with."""
     dirs = SweepDirs(directory)
@@ -78,72 +79,71 @@ def load_spec(directory) -> SweepSpec:
     return SweepSpec.from_file(dirs.spec_path)
 
 
-def submit_sweep(spec: SweepSpec, directory) -> list:
-    """Expand the sweep and enqueue its jobs; returns the job records.
-
-    Idempotent: the queue dedupes on content digest, so re-submitting
-    the same spec (or an overlapping one) only adds new points.
-    """
-    dirs = SweepDirs(directory)
-    save_spec(spec, directory)
-    queue = JobQueue(dirs.queue_dir)
-    return queue.submit_all(spec.jobs())
-
-
 def run_sweep(
     spec: SweepSpec,
     directory,
     num_workers: int = 2,
     preempt: dict | None = None,
     cache_dir=None,
-    checkpoint_every: int | None = None,
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
 ) -> tuple[dict, FarmReport]:
-    """Drive the sweep through the farm; returns (dse_report, farm_report).
+    """Submit, drive, fold and export the sweep; returns (report, farm).
 
-    ``preempt`` maps job ids to fresh-event counts after which that
-    job's next attempt exits 75 (the deterministic mid-run kill); the
-    resumed attempt migrates to another worker and the folded report
-    stays byte-identical — the property the CI smoke job checks.
+    ``preempt`` maps job ids of this sweep to fresh-event counts after
+    which that job's next attempt exits 75 (the deterministic mid-run
+    kill); the resumed attempt migrates to another worker and the
+    folded report stays byte-identical — the property the CI smoke job
+    checks.  An id that names no job of the sweep is refused before
+    anything is queued.  Submission is idempotent: the spec is saved
+    as ``sweep.json`` and the queue dedupes on content digest, so
+    re-running a spec (or an overlapping one) only adds new points.
+    The :data:`EXPORTS` are written into ``directory``.
     """
+    jobs = spec.jobs()
+    unknown = sorted(set(preempt or ()) - {job.job_id for job in jobs})
+    if unknown:
+        raise FarmError(
+            f"preempt names no job of this sweep: {', '.join(unknown)}"
+        )
     dirs = SweepDirs(directory, cache_dir)
-    submit_sweep(spec, directory)
+    dirs.root.mkdir(parents=True, exist_ok=True)
+    temp = dirs.spec_path.with_suffix(".tmp")
+    temp.write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True)
+                    + "\n", encoding="utf-8")
+    temp.replace(dirs.spec_path)
     queue = JobQueue(dirs.queue_dir)
+    queue.submit_all(jobs)
     cache = ResultCache(dirs.cache_dir)
-    pool_kwargs = {}
-    if checkpoint_every is not None:
-        pool_kwargs["checkpoint_every"] = checkpoint_every
     pool = WorkerPool(
-        queue, cache, num_workers=num_workers, work_root=dirs.work_dir,
-        **pool_kwargs,
+        queue, cache, dirs.work_dir,
+        num_workers=num_workers, checkpoint_every=checkpoint_every,
     )
     farm = pool.run(preempt=preempt)
-    return collect_report(spec, directory, cache_dir=cache_dir), farm
+    documents = {job.digest: cache.get(job.digest) for job in jobs}
+    report = fold_results(spec, documents)
+    _write_exports(dirs.root, report, farm, [
+        document for document in documents.values() if document is not None
+    ])
+    return report, farm
 
 
-def collect_report(
-    spec: SweepSpec | None, directory, cache_dir=None
-) -> dict:
-    """Fold whatever results the sweep directory holds into the report.
-
-    Usable mid-campaign (missing jobs fold as failed cells) and after
-    the fact (``repro dse report`` with only the directory).
-    """
-    dirs = SweepDirs(directory, cache_dir)
-    if spec is None:
-        spec = load_spec(directory)
-    cache = ResultCache(dirs.cache_dir)
-    documents = {
-        job.digest: cache.get(job.digest) for job in spec.jobs()
+def _write_exports(root: Path, report: dict, farm: FarmReport,
+                   documents: list[dict]) -> None:
+    front = pareto_front(report)
+    texts = {
+        "report.json": report_json(report),
+        "front.json": front_json(front),
+        "front.csv": front_csv(front),
+        "timeline.json": timeline_json(sweep_timeline(report, front)),
+        "farm.json": farm.to_json() + "\n",
     }
-    return fold_results(spec, documents)
-
-
-def collect_farm_report(directory, cache_dir=None) -> FarmReport:
-    """The underlying farm report for a sweep directory."""
-    dirs = SweepDirs(directory, cache_dir)
-    return farm_report(
-        JobQueue(dirs.queue_dir), ResultCache(dirs.cache_dir), dirs.work_dir
-    )
+    overlay = fleet_overlay(documents, front)
+    if overlay is not None:
+        texts["heatmap.json"] = overlay_json(overlay)
+    else:
+        (root / "heatmap.json").unlink(missing_ok=True)
+    for name, text in texts.items():
+        (root / name).write_text(text, encoding="utf-8")
 
 
 def run_inline(spec: SweepSpec, cache: ResultCache | None = None) -> dict:

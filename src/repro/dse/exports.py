@@ -24,30 +24,31 @@ from repro.checkpoint.snapshot import canonical_json
 OVERLAY_SCHEMA = "dse-fleet-overlay/1"
 
 
-def fleet_overlay(queue, cache, front: dict | None = None) -> dict | None:
-    """The campaign fleet heat map, tagged with front membership.
+def fleet_overlay(documents: list[dict], front: dict) -> dict | None:
+    """The sweep's fleet heat map, tagged with front membership.
 
-    Returns None when no job carried a heat map (netscope is opt-in
-    via the ``"netscope": true`` workload param).  With a
-    ``pareto-front/1`` document, the overlay records which completed
-    jobs sit on the front (and the knee), so heat-map viewers can dim
-    dominated configurations.
+    ``documents`` are the sweep's result documents in job order; the
+    ``report["netscope"]`` heat map of each one that carries it merges
+    per grid shape (see :func:`repro.obs.netscope.fleet_heatmap`).
+    Returns None when no job carried a heat map (netscope is opt-in via
+    the ``"netscope": true`` workload param).  The overlay records which
+    jobs sit on the ``pareto-front/1`` front (and the knee), so heat-map
+    viewers can dim dominated configurations.
     """
-    from repro.farm.pool import farm_heatmap
+    from repro.obs.netscope import fleet_heatmap
 
-    fleet = farm_heatmap(queue, cache)
-    if fleet is None:
+    heatmaps = [
+        document["report"]["netscope"] for document in documents
+        if "netscope" in document.get("report", {})
+    ]
+    if not heatmaps:
         return None
-    overlay = {
+    return {
         "schema": OVERLAY_SCHEMA,
-        "fleet": fleet,
-        "front_jobs": [],
-        "knee": None,
+        "fleet": fleet_heatmap(heatmaps),
+        "front_jobs": [p["job_id"] for p in front["front"]],
+        "knee": front.get("knee"),
     }
-    if front is not None:
-        overlay["front_jobs"] = [p["job_id"] for p in front["front"]]
-        overlay["knee"] = front.get("knee")
-    return overlay
 
 
 def overlay_json(overlay: dict) -> str:
@@ -59,9 +60,13 @@ def _track_axis(report: dict) -> str | None:
     """The sweep axis that names the timeline's tracks.
 
     Prefer ``topology`` (the natural visual grouping), else the first
-    sorted axis; None for a single-point sweep with no axes.
+    sorted axis that binds its own name (a bundled axis merges its
+    values' keys instead); None when there is no such axis.
     """
-    axes = sorted(report["spec"].get("sweep", {}))
+    axes = sorted(
+        axis for axis, values in report["spec"].get("sweep", {}).items()
+        if not any(isinstance(value, dict) for value in values)
+    )
     if not axes:
         return None
     return "topology" if "topology" in axes else axes[0]
@@ -74,10 +79,11 @@ def sweep_timeline(report: dict, front: dict | None = None) -> dict:
     duration is the point's simulated time; points are laid end to end
     in job order on one thread per track-axis value.  A ``sweep
     energy`` counter track accumulates total energy across the sweep.
-    Front/knee membership (when a front document is given) lands in
-    each event's args.
+    The objective values and front/knee membership (when a front
+    document is given) land in each event's args.
     """
     track_axis = _track_axis(report)
+    objectives = [obj["key"] for obj in report["spec"]["objectives"]]
     front_ids = set()
     knee = None
     if front is not None:
@@ -121,9 +127,8 @@ def sweep_timeline(report: dict, front: dict | None = None) -> dict:
             "knee": cell["job_id"] == knee,
         }
         if metrics:
-            args["gips"] = metrics["gips"]
-            args["mean_power_w"] = metrics["mean_power_w"]
-            args["energy_per_instr_pj"] = metrics["energy_per_instr_pj"]
+            for key in objectives:
+                args[key] = metrics.get(key)
             energy_j += metrics["total_energy_j"] or 0.0
         marker = "K " if args["knee"] else ("* " if args["front"] else "")
         events.append({

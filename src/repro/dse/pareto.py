@@ -3,17 +3,18 @@
 A design point *dominates* another when it is no worse on every
 objective and strictly better on at least one (objectives carry their
 own min/max orientation).  :func:`pareto_front` extracts the
-non-dominated front from a ``dse-report/1`` document's cells, prunes
+non-dominated front from a ``dse-report/2`` document's cells, prunes
 the dominated points *with provenance* — every dominated point records
 which front points dominate it and by how much per objective — and
 identifies the front's knee point (the best-balanced trade-off: the
 point closest to the normalised ideal).  Everything is deterministic:
 stable orderings, canonical JSON, a content digest over the body.
 
-Points missing a value for any objective (a workload that scores no
-deadlines swept with a deadline objective, or a failed job) cannot be
-compared; they are set aside as ``unscored`` rather than silently
-winning or losing.
+Points that did not survive (a failed job, or a run that exhausted
+its fault budget and stopped early) and points missing a value for any
+objective (a workload that scores no deadlines swept with a deadline
+objective) cannot be compared; they are set aside as ``unscored``
+rather than silently winning or losing.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ def _objectives(objectives) -> list[Objective]:
 
 
 def _values(cell: dict, objectives) -> list | None:
-    """The cell's objective vector, or None when any value is missing."""
+    """The cell's objective vector, or None when it cannot be scored."""
     metrics = cell.get("metrics")
-    if metrics is None:
+    if not cell.get("survived") or metrics is None:
         return None
     values = [metrics.get(obj.key) for obj in objectives]
     if any(value is None for value in values):
@@ -88,11 +89,11 @@ def _knee_id(front: list[dict], objectives) -> str | None:
 
 
 def pareto_front(report: dict, objectives=None) -> dict:
-    """Extract the ``pareto-front/1`` document from a DSE report.
+    """Extract the ``pareto-front/1`` document from a sweep report.
 
-    ``objectives`` overrides the report spec's objectives (used by
-    ``repro dse pareto --objective`` for post-hoc re-analysis along
-    different axes).
+    ``objectives`` overrides the report spec's objectives, for
+    re-scoring a finished report along other axes without re-running
+    anything.
     """
     objectives = _objectives(
         objectives or report.get("spec", {}).get("objectives")
@@ -219,41 +220,6 @@ def front_csv(front: dict) -> str:
         row.append("1" if point["knee"] else "0")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def pareto_from_farm_report(payload: dict, objectives=None) -> dict:
-    """Post-hoc Pareto analysis of a finished farm campaign.
-
-    Builds report-shaped cells from a farm report's per-job rows (the
-    ``repro farm report --pareto-out`` passthrough), so an existing
-    campaign can be analysed without re-submitting it as a sweep.  Only
-    ``done`` jobs carry result fields; others fold as failed cells.
-    """
-    from repro.dse.report import extract_metrics
-
-    cells = []
-    for job in payload.get("jobs", []):
-        done = job.get("state") == "done"
-        report = {
-            "energy": {
-                "elapsed_s": job.get("elapsed_s"),
-                "total_instructions": job.get("total_instructions"),
-                "total_energy_j": job.get("total_energy_j"),
-                "mean_power_w": job.get("mean_power_w"),
-            },
-            "metrics": job.get("deadline_metrics", {}),
-            "delivered_ok": job.get("delivered_ok"),
-        }
-        cells.append({
-            "job_id": job["job_id"],
-            "digest": job.get("digest"),
-            "params": dict(job.get("params", {})),
-            "survived": done,
-            "metrics": extract_metrics(report) if done else None,
-            "state_digest": job.get("state_digest"),
-        })
-    pseudo_report = {"cells": cells, "sweep_id": None, "spec": {}}
-    return pareto_front(pseudo_report, objectives)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
-"""Declarative design-space sweeps: axes, objectives, identity.
+"""Declarative sweeps: axes, objectives, identity.
 
-A :class:`SweepSpec` is the DSE engine's unit of intent: a registered
-workload, the parameters every point shares, the axes to sweep
-(topology x link aggregation x slice counts x DVFS ladder x policy x
-seeds — any workload parameter works), and the *objectives* the Pareto
-analysis optimises over.  It expands through the farm's
-:class:`~repro.farm.spec.MatrixSpec`, so a sweep inherits the farm's
-content-addressed job identity: the same spec always produces the same
-job list, in the same order, with the same digests.
+A :class:`SweepSpec` is the one spec ``repro sweep`` runs: a registered
+workload, the parameters every point shares (``base``), the axes to
+sweep (topology x link aggregation x slice counts x DVFS ladder x
+policy x seeds — any parameter the workload declares), and the
+*objectives* the Pareto analysis optimises over.  It expands into
+content-addressed :class:`~repro.farm.spec.JobSpec` objects: the same
+spec always produces the same job list, in the same order, with the
+same digests.
 
-JSON form (``repro dse submit --sweep sweep.json``)::
+JSON form (``repro sweep sweep.json --dir DIR``)::
 
     {
       "workload": "demo",
+      "base":  {"slices_x": 1},
       "sweep": {
         "topology": ["lattice", "mesh", "torus"],
         "freq_mhz": [500, 250],
@@ -25,6 +26,12 @@ JSON form (``repro dse submit --sweep sweep.json``)::
       ]
     }
 
+An axis value may also be a *dict*, a **bundle**: its keys merge into
+the job's params instead of binding the axis name, so co-varying
+parameters sweep as one dimension (a ``campaign`` axis of
+``[{"seed": 1, "kills": 1}, {"seed": 2, "kills": 2}]`` is two jobs,
+not four).
+
 Objectives name metric keys of the report cells (see
 :mod:`repro.dse.report` for the extracted set) with a ``goal`` of
 ``"min"`` or ``"max"``.  Omitted objectives default to the paper's
@@ -33,11 +40,13 @@ trio: GIPS (max) vs mean power (min) vs energy per instruction (min).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 from repro.checkpoint.snapshot import content_digest
-from repro.farm.spec import FarmError, MatrixSpec
+from repro.checkpoint.workloads import WORKLOAD_PARAMS
+from repro.farm.spec import FarmError, JobSpec
 
 #: Goals an objective may declare.
 GOALS = ("min", "max")
@@ -77,10 +86,16 @@ class Objective:
     def from_dict(cls, data) -> "Objective":
         if isinstance(data, Objective):
             return data
-        if isinstance(data, (list, tuple)):
+        if isinstance(data, (list, tuple)) and len(data) == 2:
             key, goal = data
             return cls(key=str(key), goal=str(goal))
-        return cls(key=str(data["key"]), goal=str(data.get("goal", "min")))
+        if isinstance(data, dict):
+            return cls(key=str(data.get("key", "")),
+                       goal=str(data.get("goal", "min")))
+        raise FarmError(
+            f"objective {data!r} is neither {{\"key\", \"goal\"}} nor "
+            f"[key, goal]"
+        )
 
     def __str__(self) -> str:
         return f"{self.key}({self.goal})"
@@ -93,7 +108,13 @@ def default_objectives() -> tuple[Objective, ...]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A declarative design-space sweep plus its optimisation goals."""
+    """A declarative sweep over one workload's params, plus its goals.
+
+    Construction refuses what no job could run: an unknown workload,
+    an empty axis, and any params key (in ``base``, an axis name or a
+    bundle) the workload's builder does not declare in
+    :data:`~repro.checkpoint.workloads.WORKLOAD_PARAMS`.
+    """
 
     workload: str
     base: dict = field(default_factory=dict)
@@ -101,27 +122,58 @@ class SweepSpec:
     objectives: tuple = ()
 
     def __post_init__(self) -> None:
-        # Delegate workload/axis validation to the farm matrix.
-        self.to_matrix()
+        declared = WORKLOAD_PARAMS.get(self.workload)
+        if declared is None:
+            known = ", ".join(sorted(WORKLOAD_PARAMS))
+            raise FarmError(
+                f"unknown workload {self.workload!r}; known: {known}"
+            )
+        keys = set(self.base)
+        for axis, values in self.sweep.items():
+            if not isinstance(values, (list, tuple)) or not values:
+                raise FarmError(
+                    f"sweep axis {axis!r} needs a non-empty value list"
+                )
+            for value in values:
+                keys |= set(value) if isinstance(value, dict) else {axis}
+        unknown = sorted(keys - declared)
+        if unknown:
+            raise FarmError(
+                f"workload {self.workload!r} takes no param(s) "
+                f"{', '.join(unknown)}; known: {', '.join(sorted(declared))}"
+            )
         resolved = tuple(
             Objective.from_dict(obj)
             for obj in (self.objectives or default_objectives())
         )
-        keys = [obj.key for obj in resolved]
-        if len(set(keys)) != len(keys):
-            raise FarmError(f"duplicate objective keys: {keys}")
+        names = [obj.key for obj in resolved]
+        if len(set(names)) != len(names):
+            raise FarmError(f"duplicate objective keys: {names}")
         object.__setattr__(self, "objectives", resolved)
 
-    def to_matrix(self) -> MatrixSpec:
-        """The farm matrix this sweep expands through."""
-        return MatrixSpec(
-            workload=self.workload, base=dict(self.base),
-            sweep=dict(self.sweep),
-        )
+    def jobs(self) -> list[JobSpec]:
+        """The expanded job list, in deterministic order.
 
-    def jobs(self):
-        """The expanded job list (deterministic order, deduped)."""
-        return self.to_matrix().jobs()
+        Axes iterate in sorted key order with values in listed order,
+        so later axes (sorted last) vary fastest; duplicate
+        configurations (e.g. a sweep axis repeated in ``base``)
+        collapse to their first occurrence.
+        """
+        axes = sorted(self.sweep)
+        specs: list[JobSpec] = []
+        seen: set[str] = set()
+        for combo in itertools.product(*(self.sweep[axis] for axis in axes)):
+            params = dict(self.base)
+            for axis, value in zip(axes, combo):
+                if isinstance(value, dict):
+                    params.update(value)
+                else:
+                    params[axis] = value
+            spec = JobSpec(self.workload, params)
+            if spec.digest not in seen:
+                seen.add(spec.digest)
+                specs.append(spec)
+        return specs
 
     @property
     def num_points(self) -> int:
@@ -148,13 +200,22 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        if "workload" not in data:
+        if not isinstance(data, dict) or "workload" not in data:
             raise FarmError("sweep spec needs a 'workload' field")
+        base = data.get("base", {})
+        sweep = data.get("sweep", {})
+        objectives = data.get("objectives", [])
+        if not (isinstance(base, dict) and isinstance(sweep, dict)
+                and isinstance(objectives, list)):
+            raise FarmError(
+                "sweep spec 'base' and 'sweep' must be objects and "
+                "'objectives' a list"
+            )
         return cls(
             workload=data["workload"],
-            base=dict(data.get("base", {})),
-            sweep=dict(data.get("sweep", {})),
-            objectives=tuple(data.get("objectives", ())),
+            base=dict(base),
+            sweep=dict(sweep),
+            objectives=tuple(objectives),
         )
 
     @classmethod

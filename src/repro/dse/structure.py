@@ -4,8 +4,7 @@ The fig 5/6/7 structural figures (chips and cores per slice, per-node
 link complement, layer-transition bound, bisection bandwidth) are pure
 functions of the wiring — no simulation needed.  This module computes
 them from any :class:`~repro.network.topology.SwallowTopology`, in any
-variant, so the fig567 bench, the DSE docs, and sweep-time structure
-comparisons all share one code path.
+variant; the fig567 bench reads its figures here.
 
 Graph-derived figures (diameter, mean hop distance) come from the same
 :meth:`~repro.network.topology.SwallowTopology.graph` the live fabric
@@ -85,12 +84,3 @@ def structure_summary(topology: SwallowTopology) -> dict:
         ),
         "vertical_bisection_bps": vertical_bisection_bps(topology),
     }
-
-
-def structure_sweep(points: list[dict]) -> list[dict]:
-    """Structural summaries of a list of sweep-style param dicts.
-
-    The static companion to a simulated DSE sweep: wiring figures for
-    each design point, in listed order, without running any workload.
-    """
-    return [structure_summary(build_topology(params)) for params in points]

@@ -5,9 +5,9 @@ run specs (fault campaigns, DVFS sweeps, topology ablations) fan out
 across a pool of worker processes, each job checkpointed as it runs and
 content-addressed when it finishes.
 
-* :class:`JobSpec` / :class:`MatrixSpec` — one job, or a Cartesian
-  sweep (topology x frequency x seeds) that expands deterministically
-  into many; a job's identity is the SHA-256 of its canonical config.
+* :class:`JobSpec` — one job; its identity is the SHA-256 of its
+  canonical config.  Sweeps of jobs are declared by
+  :class:`repro.dse.SweepSpec`.
 * :class:`JobQueue` — durable per-job JSON records with states
   pending → running → done/failed/preempted; survives farm restarts.
 * :class:`WorkerPool` — the multiprocessing coordinator: claims jobs,
@@ -18,23 +18,22 @@ content-addressed when it finishes.
 * :class:`ResultCache` — content-addressed result documents: a cache
   hit is byte-identical to re-running the simulation.
 * :class:`FarmReport` / :func:`farm_progress` — the end-of-campaign
-  aggregate and the live heartbeat-fed progress view.
+  scheduling record and the live heartbeat-fed progress view.
 
-See ``docs/farm.md`` for the job lifecycle, cache keying, and the
-preemption/migration walk-through.
+``repro sweep`` drives all of it; see ``docs/sweep.md`` for the job
+lifecycle, cache keying, and the preemption/migration walk-through.
 """
 
 from repro.farm.cache import ResultCache
 from repro.farm.pool import (
     FarmReport,
     WorkerPool,
-    farm_heatmap,
     farm_progress,
     farm_report,
     render_progress,
 )
 from repro.farm.queue import JobQueue, JobRecord, STATES
-from repro.farm.spec import FarmError, JobSpec, MatrixSpec
+from repro.farm.spec import FarmError, JobSpec
 from repro.farm.worker import execute_job
 
 __all__ = [
@@ -43,12 +42,10 @@ __all__ = [
     "JobQueue",
     "JobRecord",
     "JobSpec",
-    "MatrixSpec",
     "ResultCache",
     "STATES",
     "WorkerPool",
     "execute_job",
-    "farm_heatmap",
     "farm_progress",
     "farm_report",
     "render_progress",

@@ -19,15 +19,14 @@ loop is claim → maybe-serve-from-cache → spawn → reap:
 
 :func:`farm_progress` folds every job's newest heartbeat line into a
 live campaign view; :func:`farm_report` builds the final
-:class:`FarmReport` from the queue, the cache, and the per-job result
-documents.  The report's per-job payloads are deterministic (they come
-from canonical result documents); scheduling metadata (attempts,
-worker slots) reflects this farm's actual history.
+:class:`FarmReport`, the scheduling record of the queue (states,
+attempts, worker slots, cache hits).  It reflects this farm's actual
+history, so it differs between a cold and a warm pass; what the jobs
+computed is folded from the result cache (:mod:`repro.dse.report`).
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import time
 from pathlib import Path
@@ -54,7 +53,7 @@ def _mp_context():
 
 
 class FarmReport:
-    """The canonical end-of-campaign document."""
+    """The scheduling record of a campaign: states, attempts, cache hits."""
 
     def __init__(self, payload: dict):
         self.payload = payload
@@ -67,32 +66,17 @@ class FarmReport:
         return canonical_json(self.payload)
 
     def render(self) -> str:
+        """One line: job states, cache hits, attempts, preemptions."""
         p = self.payload
-        counts = p["counts"]
-        lines = [
-            f"farm report: {p['total_jobs']} jobs  "
-            + "  ".join(f"{s}={n}" for s, n in sorted(counts.items()) if n),
-            f"  cache             {p['cache']['hits']} hits / "
-            f"{p['cache']['misses']} misses "
-            f"({p['cache']['hit_rate']:.0%} hit rate)",
-            f"  attempts          {p['attempts']} "
-            f"({p['preemptions']} preemption(s))",
-            f"  simulated energy  {p['total_energy_j']:.6f} J",
-            f"  simulated time    {p['total_elapsed_s'] * 1e6:.3f} us",
-        ]
-        lines.append(f"  {'job':<14} {'state':<10} {'att':>3} {'hit':>3} "
-                     f"{'energy (J)':>12} {'sim (us)':>10}")
-        for job in p["jobs"]:
-            energy = job.get("total_energy_j")
-            elapsed = job.get("elapsed_s")
-            energy_text = f"{energy:.6f}" if energy is not None else "-"
-            elapsed_text = f"{elapsed * 1e6:.3f}" if elapsed is not None else "-"
-            lines.append(
-                f"  {job['job_id']:<14} {job['state']:<10} "
-                f"{job['attempts']:>3} {'y' if job['cache_hit'] else '-':>3} "
-                f"{energy_text:>12} {elapsed_text:>10}"
-            )
-        return "\n".join(lines)
+        states = "  ".join(
+            f"{s}={n}" for s, n in sorted(p["counts"].items()) if n
+        )
+        return (
+            f"farm: {p['total_jobs']} jobs  {states}  "
+            f"{p['cache']['hits']} cache hit(s)  {p['attempts']} "
+            f"attempt(s)  {p['preemptions']} preemption(s)  "
+            f"{p['wall_s']:.2f} s wall"
+        )
 
     def __repr__(self) -> str:
         p = self.payload
@@ -109,9 +93,9 @@ class WorkerPool:
         self,
         queue: JobQueue,
         cache: ResultCache,
+        work_root,
         num_workers: int = 2,
         *,
-        work_root=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         heartbeat_every: int | None = DEFAULT_HEARTBEAT_EVERY,
         poll_s: float = 0.01,
@@ -121,9 +105,7 @@ class WorkerPool:
         self.queue = queue
         self.cache = cache
         self.num_workers = num_workers
-        self.work_root = Path(
-            work_root if work_root is not None else queue.directory / "work"
-        )
+        self.work_root = Path(work_root)
         self.checkpoint_every = checkpoint_every
         self.heartbeat_every = heartbeat_every
         self.poll_s = poll_s
@@ -257,7 +239,7 @@ class WorkerPool:
                     slot[1].terminate()
                     slot[1].join()
             self.wall_s = time.perf_counter() - started
-        return farm_report(self.queue, self.cache, self.work_root)
+        return farm_report(self.queue, self.wall_s)
 
     def __repr__(self) -> str:
         return (
@@ -271,45 +253,21 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 
-def _job_summary(record: JobRecord, cache: ResultCache) -> dict:
-    """One job's report row (result fields only when it completed)."""
-    row = {
-        "job_id": record.job_id,
-        "digest": record.digest,
-        "index": record.index,
-        "workload": record.spec.workload,
-        "params": dict(record.spec.params),
-        "state": record.state,
-        "attempts": record.attempts,
-        "workers": list(record.workers),
-        "cache_hit": record.cache_hit,
-        "error": record.error,
-    }
-    if record.state == "done":
-        document = cache.get(record.digest)
-        if document is not None:
-            report = document.get("report", {})
-            energy = report.get("energy", {})
-            row["total_energy_j"] = energy.get("total_energy_j")
-            row["elapsed_s"] = energy.get("elapsed_s")
-            row["total_instructions"] = energy.get("total_instructions")
-            row["mean_power_w"] = energy.get("mean_power_w")
-            row["delivered_ok"] = report.get("delivered_ok")
-            row["state_digest"] = report.get("state_digest")
-            # Deadline series only (what post-hoc Pareto analysis of a
-            # campaign needs); the full snapshot stays in the cache.
-            row["deadline_metrics"] = {
-                key: value
-                for key, value in report.get("metrics", {}).items()
-                if key.startswith("nos.deadline_")
-            }
-    return row
-
-
-def farm_report(queue: JobQueue, cache: ResultCache, work_root) -> FarmReport:
-    """Aggregate the campaign into a :class:`FarmReport`."""
-    records = queue.jobs()
-    jobs = [_job_summary(record, cache) for record in records]
+def farm_report(queue: JobQueue, wall_s: float) -> FarmReport:
+    """The queue's scheduling record as a :class:`FarmReport`, after a
+    pool pass of ``wall_s`` wall seconds."""
+    jobs = [
+        {
+            "job_id": record.job_id,
+            "index": record.index,
+            "state": record.state,
+            "attempts": record.attempts,
+            "workers": list(record.workers),
+            "cache_hit": record.cache_hit,
+            "error": record.error,
+        }
+        for record in queue.jobs()
+    ]
     hits = sum(1 for job in jobs if job["cache_hit"])
     done = sum(1 for job in jobs if job["state"] == "done")
     attempts = sum(job["attempts"] for job in jobs)
@@ -327,38 +285,9 @@ def farm_report(queue: JobQueue, cache: ResultCache, work_root) -> FarmReport:
         },
         "attempts": attempts,
         "preemptions": preemptions,
-        "total_energy_j": sum(
-            job.get("total_energy_j") or 0.0 for job in jobs
-        ),
-        "total_elapsed_s": sum(job.get("elapsed_s") or 0.0 for job in jobs),
+        "wall_s": wall_s,
         "jobs": jobs,
     })
-
-
-def farm_heatmap(queue: JobQueue, cache: ResultCache) -> dict | None:
-    """Merge the campaign's netscope heat maps into one fleet document.
-
-    Collects the ``report["netscope"]`` section of every completed
-    job's cached result and merges per grid shape (DSE sweeps mix
-    topologies; see :func:`repro.obs.netscope.fleet_heatmap`).  Returns
-    None when no job carried a heat map — netscope is opt-in via the
-    ``"netscope": true`` workload param.
-    """
-    from repro.obs.netscope import fleet_heatmap
-
-    docs = []
-    for record in queue.jobs():
-        if record.state != "done":
-            continue
-        document = cache.get(record.digest)
-        if document is None:
-            continue
-        heatmap = document.get("report", {}).get("netscope")
-        if heatmap is not None:
-            docs.append(heatmap)
-    if not docs:
-        return None
-    return fleet_heatmap(docs)
 
 
 def farm_progress(queue: JobQueue, work_root) -> dict:
@@ -389,12 +318,12 @@ def farm_progress(queue: JobQueue, work_root) -> dict:
 
 
 def render_progress(progress: dict) -> str:
-    """A printable live view for ``repro farm status``."""
+    """A printable live view for ``repro sweep --status``."""
     counts = progress["counts"]
     total = sum(counts.values())
     terminal = counts["done"] + counts["failed"]
     lines = [
-        f"farm status: {terminal}/{total} jobs finished  "
+        f"sweep status: {terminal}/{total} jobs finished  "
         + "  ".join(f"{s}={n}" for s, n in sorted(counts.items()) if n),
         f"  {'job':<14} {'state':<10} {'att':>3} {'events':>9} "
         f"{'replayed':>9} {'ckpts':>6}",

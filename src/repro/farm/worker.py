@@ -21,7 +21,9 @@ plus a per-job work directory and drives a
 Exit codes follow the repo's convention: 0 = done, 75 = preempted
 (:data:`~repro.checkpoint.resume.EXIT_KILLED`, the EX_TEMPFAIL code
 ``repro run --kill-after-events`` exits with — the job is resumable,
-not failed), anything else = failed.
+not failed), anything else = failed.  A run that ends ``exhausted``
+(the model raised a ``ResourceError``) is done: its result document
+records the error, and the cache keeps it like any other result.
 
 The migration story is just resume: the worker opens its run through
 :meth:`ResumableRun.open`, so if ``checkpoints/`` already holds

@@ -1,7 +1,8 @@
 """The policy zoo: named scheduler/DVFS bundles for NanoOS.
 
-Each zoo entry names a (scheduler, DVFS) pair the ablation harness,
-the ``repro policies`` CLI and the tests all build the same way::
+Each zoo entry names a (scheduler, DVFS) pair the ``policy_rt``
+workload (which the policy-zoo sweep spec ``examples/policy_zoo.json``
+runs) and the tests all build the same way::
 
     scheduler, dvfs = build_policy("ccedf", k=1)
     nos = NanoOS(system, policy=scheduler, dvfs=dvfs)

@@ -103,3 +103,31 @@ class TestByteIdentity:
         snapshot = context.capture()        # no setup recorded
         with pytest.raises(CheckpointError, match="no workload setup"):
             ResumableRun.resume(snapshot)
+
+
+class TestExhausted:
+    PARAMS = {"policy": "least_loaded", "k": 0, "kills": 1, "seed": 1,
+              "kill_from_us": 5.0, "kill_every_us": 6.0}
+
+    def test_resource_error_ends_the_run_exhausted(self, tmp_path):
+        """A ResourceError out of the model (here a fault budget of 0
+        meeting a core kill) is an outcome, and a killed-and-resumed run
+        reaches the same exhausted report byte for byte."""
+        run = ResumableRun("policy_rt", self.PARAMS)
+        assert run.run().to_dict()["outcome"] == "exhausted"
+        report = run.final_report()
+        assert "fault budget exhausted" in report["exhausted"]
+        assert report["energy"]["total_energy_j"] > 0
+        expected = canonical_json(report)
+
+        store = CheckpointStore(tmp_path / "store")
+        policy = CheckpointPolicy(every_events=10_000)
+        killed = ResumableRun("policy_rt", self.PARAMS, policy=policy,
+                              store=store)
+        assert killed.run(kill_after_events=20_000).to_dict()[
+            "outcome"] == "killed"
+        resumed = ResumableRun.open("policy_rt", self.PARAMS, policy=policy,
+                                    store=store)
+        assert resumed.run().to_dict()["outcome"] == "exhausted"
+        assert canonical_json(resumed.final_report()) == expected
+

@@ -130,6 +130,17 @@ class TestBadInput:
         assert run_cli("faults_stream", params) == 1
         assert "CORRUPTED" in capsys.readouterr().out
 
+    def test_exhausted_run_prints_its_report_and_exits_1(self, capsys):
+        # A kill against a fault budget of 0: the model raises
+        # ResourceError, and the run ends exhausted instead of crashing.
+        params = {"policy": "least_loaded", "k": 0, "kills": 1, "seed": 1,
+                  "kill_from_us": 5.0, "kill_every_us": 6.0}
+        assert run_cli("policy_rt", params) == 1
+        out = capsys.readouterr().out
+        assert "Energy report" in out
+        assert "recovery report: exhausted" in out
+        assert "fault budget exhausted" in out
+
 
 class TestExports:
     def test_observe_trace_and_profile(self, tmp_path, capsys):

@@ -19,8 +19,6 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.workloads import SHARED_PARAMS
 from repro.dse import SweepSpec
-from repro.farm import MatrixSpec
-from repro.nos.ablation import ablation_matrix
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -41,14 +39,14 @@ class TestDeclaredParams:
 
 
 def ci_param_sets():
-    """(workload, params) of every job CI's matrices and runs start."""
+    """(workload, params) of every job CI's sweep specs and runs start."""
     text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
     sets = []
     for block in re.findall(r"cat > \w+\.json <<'EOF'\n(.*?)\n\s*EOF",
                             text, re.S):
         spec = json.loads(block)
         sets += [(job.workload, job.params)
-                 for job in MatrixSpec.from_dict(spec).jobs()]
+                 for job in SweepSpec.from_dict(spec).jobs()]
     for workload, params in re.findall(
             r"python -m repro run (\w+) \\\s*--params '(.*?)'", text, re.S):
         sets.append((workload, json.loads(params)))
@@ -56,19 +54,20 @@ def ci_param_sets():
 
 
 def sweep_param_sets():
-    """(workload, params) of the shipped DSE sweeps and the policy zoo."""
+    """(workload, params) of the shipped sweeps and the policy zoo."""
     example = runpy.run_path(str(ROOT / "examples" / "dse_pareto.py"))
-    bench = runpy.run_path(str(ROOT / "benchmarks" / "bench_dse.py"))
-    specs = [example["SPEC"], SweepSpec.from_dict(bench["SWEEP"])]
+    bench = runpy.run_path(str(ROOT / "benchmarks" / "bench_sweep.py"))
+    specs = [example["SPEC"], SweepSpec.from_dict(bench["SWEEP"]),
+             SweepSpec.from_file(ROOT / "examples" / "policy_zoo.json")]
     jobs = [job for spec in specs for job in spec.jobs()]
-    jobs += ablation_matrix(base={"tasks": 24}).jobs()
     return [(job.workload, job.params) for job in jobs]
 
 
 class TestShippedParamSets:
     def test_ci_param_sets_are_accepted(self):
         sets = ci_param_sets()
-        # Two matrices (24 + 12 jobs) and six runs with --params.
+        # Two sweep specs (the 24-job sweep smoke and the 12-cell zoo
+        # smoke) and six runs with --params.
         assert len(sets) == 24 + 12 + 6
         for workload, params in sets:
             assert set(params) <= WORKLOAD_PARAMS[workload], params

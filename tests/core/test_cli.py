@@ -129,13 +129,13 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
-    def test_nine_commands(self, capsys):
+    def test_command_listing(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
         listing = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
         assert listing.split(",") == [
             "info", "tables", "isa", "figures", "topology", "topo", "run",
-            "farm", "dse", "policies",
+            "sweep",
         ]
 
     def test_unknown_workload_exits(self):

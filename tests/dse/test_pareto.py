@@ -9,20 +9,20 @@ from repro.dse.pareto import (
     front_csv,
     front_json,
     pareto_acceptance_check,
-    pareto_from_farm_report,
     pareto_front,
 )
 from repro.dse.spec import Objective
 
 
-def make_report(points, objectives=None):
-    """A minimal dse-report-shaped document from (job_id, metrics)."""
+def make_report(points, objectives=None, exhausted=()):
+    """A minimal report-shaped document from (job_id, metrics); the
+    ``exhausted`` job ids keep their metrics but did not survive."""
     cells = [
         {
             "job_id": job_id,
             "digest": job_id * 2,
             "params": {"p": index},
-            "survived": metrics is not None,
+            "survived": metrics is not None and job_id not in exhausted,
             "metrics": metrics,
             "state_digest": None,
         }
@@ -99,9 +99,10 @@ class TestFront:
             ("aa", {"speed": 2.0, "watts": 1.0}),
             ("bb", {"speed": 1.0}),  # missing watts
             ("cc", None),            # failed job
-        ])
+            ("dd", {"speed": 9.0, "watts": 0.1}),  # exhausted, stopped early
+        ], exhausted=("dd",))
         front = pareto_front(report)
-        assert front["unscored"] == ["bb", "cc"]
+        assert front["unscored"] == ["bb", "cc", "dd"]
         assert [p["job_id"] for p in front["front"]] == ["aa"]
 
     def test_knee_is_the_balanced_point(self):
@@ -177,24 +178,3 @@ class TestExports:
         assert "*" in plot or "K" in plot
         assert "." in plot  # cc is dominated by bb
         assert plot == ascii_scatter(front, width=32, height=8)
-
-
-class TestFarmPassthrough:
-    def test_pareto_from_farm_report(self):
-        payload = {"jobs": [
-            {
-                "job_id": "aa", "digest": "a" * 64, "state": "done",
-                "params": {"seed": 1},
-                "elapsed_s": 1e-6, "total_instructions": 2000,
-                "total_energy_j": 1e-6, "mean_power_w": 1.0,
-                "deadline_metrics": {}, "delivered_ok": True,
-                "state_digest": "x",
-            },
-            {
-                "job_id": "bb", "digest": "b" * 64, "state": "failed",
-                "params": {"seed": 2},
-            },
-        ]}
-        front = pareto_from_farm_report(payload)
-        assert [p["job_id"] for p in front["front"]] == ["aa"]
-        assert front["unscored"] == ["bb"]

@@ -40,10 +40,14 @@ class TestMetricExtraction:
                 "nos.deadline_hit{policy=edf}": 8,
                 "nos.deadline_miss{policy=edf}": 2,
                 "nos.deadline_shed{policy=edf}": 0,
+                "nos.replacements{policy=edf}": 3,
             },
             "delivered_ok": True,
         }
         metrics = extract_metrics(report)
+        assert (metrics["deadline_hit"], metrics["deadline_miss"],
+                metrics["deadline_shed"], metrics["replacements"]) == \
+            (8, 2, 0, 3)
         assert metrics["gips"] == pytest.approx(4000 / 2e-6 / 1e9)
         assert metrics["energy_per_instr_pj"] == pytest.approx(
             8e-9 / 4000 * 1e12
@@ -84,6 +88,7 @@ class TestInlineFold:
         report = fold_results(spec(), documents)
         assert report["summary"]["failed"] == 4
         assert all(cell["metrics"] is None for cell in report["cells"])
+        assert not any(cell["survived"] for cell in report["cells"])
         # Still canonical and digest-stable.
         assert report_json(report) == report_json(
             fold_results(spec(), documents)

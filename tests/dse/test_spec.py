@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.dse import Objective, SweepSpec, default_objectives
-from repro.farm import FarmError
+from repro.farm import FarmError, JobSpec
 
 
 class TestObjective:
@@ -44,9 +44,11 @@ class TestSweepSpec:
         jobs = spec.jobs()
         assert spec.num_points == 4
         assert [j.workload for j in jobs] == ["demo"] * 4
-        # Same expansion as the equivalent MatrixSpec.
+        # Each point is the farm job of its params: same digest, so the
+        # cache key of a point is that of a hand-built job.
         assert [j.digest for j in jobs] == [
-            j.digest for j in spec.to_matrix().jobs()
+            JobSpec("demo", {"seed": seed, "topology": topology}).digest
+            for seed in (1, 2) for topology in ("lattice", "mesh")
         ]
 
     def test_digest_covers_objectives(self):
@@ -84,3 +86,5 @@ class TestSweepSpec:
     def test_rejects_bad_axes_via_matrix_validation(self):
         with pytest.raises(FarmError, match="non-empty value list"):
             SweepSpec(workload="demo", sweep={"seed": []})
+        with pytest.raises(FarmError, match="takes no param"):
+            SweepSpec(workload="demo", sweep={"messages": [1, 2]})

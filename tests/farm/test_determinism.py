@@ -57,10 +57,11 @@ class TestPreemptionByteIdentity:
         assert execute_job(SPEC.config, tmp_path / "ref",
                            checkpoint_every=200) == 0
 
-        queue = JobQueue(tmp_path / "farm")
+        queue = JobQueue(tmp_path / "farm" / "queue")
         record = queue.submit(SPEC)
         cache = ResultCache(tmp_path / "farm" / "cache")
-        pool = WorkerPool(queue, cache, num_workers=2, checkpoint_every=200)
+        pool = WorkerPool(queue, cache, tmp_path / "farm" / "work",
+                          num_workers=2, checkpoint_every=200)
         pool.run(preempt={record.job_id: 300})
 
         assert len(set(queue.get(record.job_id).workers)) == 2  # migrated
@@ -74,10 +75,11 @@ class TestCacheHitByteIdentity:
                            checkpoint_every=200) == 0
         fresh = result_bytes(tmp_path / "fresh")
 
-        queue = JobQueue(tmp_path / "farm")
+        queue = JobQueue(tmp_path / "farm" / "queue")
         queue.submit(SPEC)
         cache = ResultCache(tmp_path / "farm" / "cache")
-        WorkerPool(queue, cache, num_workers=1, checkpoint_every=200).run()
+        WorkerPool(queue, cache, tmp_path / "farm" / "work",
+                   num_workers=1, checkpoint_every=200).run()
 
         hit = cache.get(SPEC.digest)
         assert hit is not None

@@ -1,22 +1,24 @@
 """Tests for the worker pool: fan-out, cache serving, preemption."""
 
-from repro.farm import JobQueue, MatrixSpec, ResultCache, WorkerPool
+from repro.dse import SweepSpec
+from repro.farm import JobQueue, ResultCache, WorkerPool
 
 
 def small_matrix():
-    return MatrixSpec(
+    return SweepSpec(
         workload="faults_stream",
         base={"words": 4, "drop_rate": 0.0},
         sweep={"seed": [0, 1], "slices_x": [1, 2]},
     )
 
 
-def make_farm(tmp_path, num_workers=2, **kwargs):
-    queue = JobQueue(tmp_path / "farm")
+def make_farm(tmp_path, num_workers=2):
+    queue = JobQueue(tmp_path / "farm" / "queue")
     queue.submit_all(small_matrix().jobs())
     cache = ResultCache(tmp_path / "farm" / "cache")
-    pool = WorkerPool(queue, cache, num_workers=num_workers,
-                      checkpoint_every=200, heartbeat_every=200, **kwargs)
+    pool = WorkerPool(queue, cache, tmp_path / "farm" / "work",
+                      num_workers=num_workers,
+                      checkpoint_every=200, heartbeat_every=200)
     return queue, cache, pool
 
 
@@ -31,12 +33,15 @@ class TestWorkerPool:
             "hits": 0, "misses": 4, "hit_rate": 0.0,
         }
         assert queue.done()
-        # Every done job carries result fields from its cached document.
-        for job in payload["jobs"]:
+        # Every done job's result document is in the cache; the farm
+        # report itself holds scheduling fields only.
+        for job, record in zip(payload["jobs"], queue.jobs()):
             assert job["state"] == "done"
-            assert job["total_energy_j"] > 0.0
-            assert job["delivered_ok"] is True
-        assert "farm report: 4 jobs" in report.render()
+            assert "total_energy_j" not in job
+            result = cache.get(record.digest)["report"]
+            assert result["energy"]["total_energy_j"] > 0.0
+            assert result["delivered_ok"] is True
+        assert "farm: 4 jobs  done=4" in report.render()
 
     def test_second_pass_is_served_from_cache(self, tmp_path):
         _, cache, pool = make_farm(tmp_path)
@@ -45,10 +50,10 @@ class TestWorkerPool:
 
         # A fresh queue (new campaign) sharing the same cache: every
         # unchanged job completes as a hit, spawning no workers.
-        queue_b = JobQueue(tmp_path / "farm_b")
+        queue_b = JobQueue(tmp_path / "farm_b" / "queue")
         queue_b.submit_all(small_matrix().jobs())
-        pool_b = WorkerPool(queue_b, cache, num_workers=2,
-                            work_root=tmp_path / "farm_b" / "work")
+        pool_b = WorkerPool(queue_b, cache, tmp_path / "farm_b" / "work",
+                            num_workers=2)
         second = pool_b.run().to_dict()
         assert second["counts"]["done"] == 4
         assert second["cache"]["hits"] == 4
@@ -77,12 +82,13 @@ class TestWorkerPool:
         assert record.workers == [0, 0]  # nowhere to migrate to
 
     def test_failed_job_records_error(self, tmp_path):
-        queue = JobQueue(tmp_path / "farm")
+        queue = JobQueue(tmp_path / "farm" / "queue")
         queue.submit_all(small_matrix().jobs())
         from repro.farm import JobSpec
         bad = queue.submit(JobSpec("no_such_workload", {}))
         cache = ResultCache(tmp_path / "farm" / "cache")
-        pool = WorkerPool(queue, cache, num_workers=2)
+        pool = WorkerPool(queue, cache, tmp_path / "farm" / "work",
+                          num_workers=2)
         report = pool.run().to_dict()
         assert report["counts"]["done"] == 4
         assert report["counts"]["failed"] == 1

@@ -1,10 +1,12 @@
-"""Tests for JobSpec / MatrixSpec: content addressing and expansion."""
+"""Tests for JobSpec and the sweep spec's matrix expansion: content
+addressing, axis order, bundles and dedupe."""
 
 import json
 
 import pytest
 
-from repro.farm import FarmError, JobSpec, MatrixSpec
+from repro.dse import SweepSpec
+from repro.farm import FarmError, JobSpec
 
 
 class TestJobSpec:
@@ -36,15 +38,17 @@ class TestJobSpec:
 
 
 class TestMatrixSpec:
+    """The sweep spec's Cartesian expansion."""
+
     def matrix(self):
-        return MatrixSpec(
+        return SweepSpec(
             workload="faults_stream",
             base={"words": 8},
             sweep={"slices_x": [1, 2], "seed": [0, 1, 2]},
         )
 
     def test_num_jobs_is_the_product(self):
-        assert self.matrix().num_jobs == 6
+        assert self.matrix().num_points == 6
 
     def test_expansion_is_deterministic(self):
         jobs_a = self.matrix().jobs()
@@ -57,7 +61,7 @@ class TestMatrixSpec:
         assert all(j.params["words"] == 8 for j in jobs_a)
 
     def test_duplicate_configs_collapse(self):
-        matrix = MatrixSpec(
+        matrix = SweepSpec(
             workload="demo",
             base={"seed": 7},
             sweep={"seed": [7, 7, 8]},
@@ -67,25 +71,25 @@ class TestMatrixSpec:
     def test_from_file_and_validation(self, tmp_path):
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps(self.matrix().to_dict()))
-        loaded = MatrixSpec.from_file(path)
+        loaded = SweepSpec.from_file(path)
         assert loaded == self.matrix()
 
         path.write_text("{not json")
         with pytest.raises(FarmError, match="unparseable"):
-            MatrixSpec.from_file(path)
+            SweepSpec.from_file(path)
 
     def test_rejects_empty_axis(self):
         with pytest.raises(FarmError, match="non-empty value list"):
-            MatrixSpec(workload="demo", sweep={"seed": []})
+            SweepSpec(workload="demo", sweep={"seed": []})
 
     def test_rejects_missing_workload(self):
         with pytest.raises(FarmError, match="workload"):
-            MatrixSpec.from_dict({"sweep": {"seed": [1]}})
+            SweepSpec.from_dict({"sweep": {"seed": [1]}})
 
 
 class TestBundledAxes:
     def test_dict_values_merge_into_params(self):
-        matrix = MatrixSpec(
+        matrix = SweepSpec(
             workload="policy_rt",
             base={"tasks": 8},
             sweep={
@@ -97,15 +101,15 @@ class TestBundledAxes:
             },
         )
         jobs = matrix.jobs()
-        assert len(jobs) == matrix.num_jobs == 4
+        assert len(jobs) == matrix.num_points == 4
         for spec in jobs:
             assert "campaign" not in spec.params
             assert spec.params["tasks"] == 8
             assert spec.params["seed"] == spec.params["kills"]
 
     def test_bundles_co_vary_instead_of_multiplying(self):
-        matrix = MatrixSpec(
-            workload="w",
+        matrix = SweepSpec(
+            workload="policy_rt",
             sweep={"campaign": [{"seed": 1, "kills": 1},
                                 {"seed": 2, "kills": 2}]},
         )
@@ -114,8 +118,8 @@ class TestBundledAxes:
         assert seen == [(1, 1), (2, 2)]
 
     def test_bundled_expansion_is_deterministic(self):
-        build = lambda: MatrixSpec(
-            workload="w",
+        build = lambda: SweepSpec(
+            workload="policy_rt",
             sweep={
                 "campaign": [{"seed": 2}, {"seed": 1}],
                 "k": [0, 1],
@@ -125,19 +129,19 @@ class TestBundledAxes:
 
 
 class TestMatrixEdgeCases:
-    """The expansion corners the DSE engine leans on."""
+    """The expansion corners the sweep engine leans on."""
 
     def test_empty_sweep_yields_the_single_base_job(self):
-        matrix = MatrixSpec(workload="demo", base={"seed": 3}, sweep={})
+        matrix = SweepSpec(workload="demo", base={"seed": 3}, sweep={})
         jobs = matrix.jobs()
-        assert matrix.num_jobs == 1
+        assert matrix.num_points == 1
         assert len(jobs) == 1
         assert jobs[0].params == {"seed": 3}
         assert jobs[0].digest == JobSpec("demo", {"seed": 3}).digest
 
     def test_bundles_mixed_with_scalar_axes(self):
-        matrix = MatrixSpec(
-            workload="w",
+        matrix = SweepSpec(
+            workload="faults_stream",
             base={"words": 4, "drop_rate": 0.5},
             sweep={
                 "campaign": [
@@ -161,28 +165,28 @@ class TestMatrixEdgeCases:
         ]
 
     def test_dedupe_keeps_first_occurrence_order(self):
-        matrix = MatrixSpec(
-            workload="w",
+        matrix = SweepSpec(
+            workload="demo",
             sweep={
                 # Bundles collide with the scalar axis's combinations:
                 # {"seed": 1} from the bundle equals seed=1 from the
                 # scalar axis once merged.
                 "campaign": [{"seed": 1}, {"seed": 2}, {"seed": 1}],
-                "zz_extra": [0],
+                "slices_y": [1],
             },
         )
         seeds = [s.params["seed"] for s in matrix.jobs()]
         assert seeds == [1, 2]
-        assert matrix.num_jobs == 3  # pre-dedupe product
+        assert matrix.num_points == 2  # the 3-job product, deduped
 
     def test_dedupe_ordering_is_stable_across_runs(self):
         def build():
-            return MatrixSpec(
-                workload="w",
-                base={"fixed": True},
+            return SweepSpec(
+                workload="policy_rt",
+                base={"tasks": 8},
                 sweep={
-                    "a": [2, 1, 2],
-                    "b": [{"x": 1}, {"x": 1}, {"x": 2}],
+                    "k": [2, 1, 2],
+                    "campaign": [{"seed": 1}, {"seed": 1}, {"seed": 2}],
                 },
             ).jobs()
 

@@ -99,17 +99,17 @@ class TestFarmHeatmapCli:
             "base": {"words": 4, "drop_rate": 0.0, "netscope": True},
             "sweep": {"seed": [0, 1], "slices_x": [1, 2]},
         }))
-        farm = tmp_path / "farm"
-        assert main(["farm", "run", "--dir", str(farm),
-                     "--matrix", str(matrix), "--workers", "2",
-                     "--checkpoint-every", "200", "--json"]) == 0
-        capsys.readouterr()
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", str(matrix), "--dir", str(sweep),
+                     "--checkpoint-every", "200"]) == 0
+        assert "heatmap.json" in capsys.readouterr().out
 
-        fleet_path = tmp_path / "fleet.json"
-        assert main(["farm", "report", "--dir", str(farm),
-                     "--heatmap-out", str(fleet_path)]) == 0
-        assert str(fleet_path) in capsys.readouterr().out
-        fleet = json.loads(fleet_path.read_text())
+        overlay = json.loads((sweep / "heatmap.json").read_text())
+        front = json.loads((sweep / "front.json").read_text())
+        assert overlay["schema"] == "dse-fleet-overlay/1"
+        assert overlay["front_jobs"] == [p["job_id"] for p in front["front"]]
+        assert overlay["knee"] == front["knee"]
+        fleet = overlay["fleet"]
         assert fleet["schema"] == "netscope-fleet/1"
         assert fleet["jobs"] == 4
         assert set(fleet["grids"]) == {"1x1", "2x1"}
@@ -123,11 +123,8 @@ class TestFarmHeatmapCli:
             "base": {"words": 4, "drop_rate": 0.0},
             "sweep": {"seed": [0]},
         }))
-        farm = tmp_path / "farm"
-        assert main(["farm", "run", "--dir", str(farm),
-                     "--matrix", str(matrix), "--workers", "1",
-                     "--checkpoint-every", "200", "--json"]) == 0
-        capsys.readouterr()
-        assert main(["farm", "report", "--dir", str(farm),
-                     "--heatmap-out", str(tmp_path / "fleet.json")]) == 0
-        assert "no netscope heat maps" in capsys.readouterr().out
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", str(matrix), "--dir", str(sweep),
+                     "--workers", "1", "--checkpoint-every", "200"]) == 0
+        assert "heatmap.json" not in capsys.readouterr().out
+        assert not (sweep / "heatmap.json").exists()
