@@ -18,7 +18,7 @@ Commands:
   ``--checkpoint-dir`` that already holds bundles is resumed, and
   ``--kill-after-events`` simulates a crash (exit code 75).  Exit 1
   when the stream was not delivered or the run ended ``exhausted``
-  (its model raised ``ResourceError``);
+  (its runtime raised ``ExhaustedError``);
 * ``sweep [SPEC] --dir DIR`` — submit a sweep spec (a workload, base
   params, sweep axes and objectives; see :class:`repro.dse.SweepSpec`)
   into DIR, or resume DIR's saved spec; fan its content-addressed jobs

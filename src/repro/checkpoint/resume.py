@@ -28,13 +28,15 @@ Four ways a run ends:
   move to the rebuilt kernel after its replay
   (:meth:`~repro.sim.engine.Simulator.hand_over`), and the heartbeat
   reads the rebuilt system's metrics.
-* **exhausted** — the model raised a
-  :class:`~repro.xs1.errors.ResourceError` (a fault budget exhausted,
+* **exhausted** — the runtime raised an
+  :class:`~repro.xs1.errors.ExhaustedError` (a fault budget exhausted,
   a machine with no core or thread left): the run stops where it was
   raised, and its final report records the error text under
   ``"exhausted"`` beside the energy and metrics reached by then.  It is
   a result, not a crash: the sweep caches it and scores it
-  ``survived: false``.
+  ``survived: false``.  Any other
+  :class:`~repro.xs1.errors.ResourceError` (a workload's ``send before
+  setd``, say) is a bug in the workload and propagates.
 
 Every recovery action lands in a :class:`RecoveryReport` whose
 canonical JSON is deterministic: the same configuration yields the
@@ -54,7 +56,7 @@ from repro.checkpoint.snapshot import CheckpointError, Snapshot, canonical_json
 from repro.checkpoint.workloads import RunContext, build_workload
 from repro.core.watchdog import RollbackSignal
 from repro.sim import us
-from repro.xs1.errors import ResourceError
+from repro.xs1.errors import ExhaustedError
 
 #: Exit code of a process whose run was killed mid-flight (EX_TEMPFAIL:
 #: the run is resumable from its checkpoint store, not failed).
@@ -139,7 +141,7 @@ class ResumableRun:
         self.rollbacks = 0
         self.attempts: list[dict] = []
         self.killed = False
-        #: The text of the ResourceError that ended the run, if one did.
+        #: The text of the ExhaustedError that ended the run, if one did.
         self.exhausted: str | None = None
         #: Events re-executed by deterministic replay (resume/rollback) —
         #: reconstruction, ledgered separately from fresh execution so
@@ -270,7 +272,7 @@ class ResumableRun:
     ) -> RecoveryReport:
         """Run to completion (or the kill point), recovering as needed.
 
-        A :class:`ResourceError` escaping the model ends the run with
+        An :class:`ExhaustedError` escaping the model ends the run with
         outcome ``exhausted`` (see :attr:`exhausted`).  With a
         :class:`~repro.obs.perf.RunHeartbeat`, the drive loop
         emits a progress line every ``heartbeat.every_events`` fresh
@@ -296,7 +298,7 @@ class ResumableRun:
                         ) from signal
                     self._rollback(signal)
                     continue
-                except ResourceError as error:
+                except ExhaustedError as error:
                     self.exhausted = str(error)
                 if self._heartbeat is not None:
                     self._heartbeat.beat(

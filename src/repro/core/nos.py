@@ -28,7 +28,7 @@ from repro.sim import us
 from repro.xs1.assembler import Program
 from repro.xs1.behavioral import BehavioralThread
 from repro.xs1.core import XCore
-from repro.xs1.errors import ResourceError
+from repro.xs1.errors import ExhaustedError
 from repro.xs1.thread import HardwareThread, IsaThread
 
 
@@ -152,12 +152,12 @@ class NanoOS:
         """Healthy cores with a spare hardware thread, in node order."""
         healthy = [c for c in self.system.cores if not c.failed]
         if not healthy:
-            raise ResourceError("every core in the machine has failed")
+            raise ExhaustedError("every core in the machine has failed")
         candidates = [
             c for c in healthy if self._load(c) < c.config.max_threads
         ]
         if not candidates:
-            raise ResourceError("no free hardware thread anywhere in the machine")
+            raise ExhaustedError("no free hardware thread anywhere in the machine")
         return candidates
 
     def pick_core(
@@ -168,9 +168,9 @@ class NanoOS:
         """Policy placement (least-loaded, node-id tie-break, by default)."""
         if pin is not None:
             if pin.failed:
-                raise ResourceError(f"{pin.name}: core has failed")
+                raise ExhaustedError(f"{pin.name}: core has failed")
             if self._load(pin) >= pin.config.max_threads:
-                raise ResourceError(f"{pin.name}: no free hardware thread")
+                raise ExhaustedError(f"{pin.name}: no free hardware thread")
             return pin
         return self.policy.choose(self, self._candidates(), handle)
 
@@ -320,7 +320,8 @@ class NanoOS:
         it (or when the policy itself calls the guarantee broken) the
         policy may *degrade gracefully* — shed chosen tasks and keep
         running; a policy that declines leaves the original behaviour,
-        a :class:`ResourceError`, with no partial re-placement.
+        an :class:`~repro.xs1.errors.ExhaustedError`, with no partial
+        re-placement.
         Returns the re-placed handles.
         """
         if core in self.failed_cores:
@@ -336,7 +337,7 @@ class NanoOS:
         if budget_exhausted or self.policy.wants_degrade(self):
             shed = self.policy.degrade(self, core, orphans)
             if shed is None:
-                raise ResourceError(
+                raise ExhaustedError(
                     f"fault budget exhausted: {len(self.failed_cores)} core"
                     f" failure(s) already healed, budget is {self.fault_budget}"
                 )

@@ -156,7 +156,9 @@ class SwallowSystem:
         core ``issue``; switch ``route_open``, ``route_close``,
         ``route_severed`` and ``deliver``; link ``token``,
         ``token_dropped`` and ``token_corrupted``; ADC ``sample``; and
-        ``watchdog.fired`` records.  Calling again replaces it,
+        ``watchdog.fired`` records from now on, also when attached
+        mid-run (the cores end their silent ``Compute`` runs).  Calling
+        again replaces it,
         ``sim.tracer = None`` detaches it, and a watchdog rollback hands
         it to the rebuilt system.  ``kinds`` filters at record time;
         ``capacity`` bounds memory with flight-recorder (keep-newest)
@@ -164,7 +166,7 @@ class SwallowSystem:
         :meth:`~repro.sim.tracing.TraceRecorder.to_chrome_trace` or
         :meth:`~repro.sim.tracing.TraceRecorder.to_jsonl`.
         """
-        self.sim.tracer = TraceRecorder(kinds=kinds, capacity=capacity)
+        self.sim.attach_tracer(TraceRecorder(kinds=kinds, capacity=capacity))
         return self.sim.tracer
 
     def netscope(self, window_ps: int = 1_000_000):

@@ -10,7 +10,7 @@ slots, cache hits) deliberately never enters the document: it differs
 between a cold and a warm farm pass and would break byte-identity.
 
 A cell ``survived`` when its run completed.  A run that ended
-``exhausted`` (its model raised a ``ResourceError``: a fault budget
+``exhausted`` (its runtime raised an ``ExhaustedError``: a fault budget
 exhausted, a full machine) is a result too: the cell keeps its metrics
 and carries the error text under ``exhausted``.  A job with no result
 document (it failed, or has not run yet) folds with no metrics.

@@ -22,7 +22,7 @@ Exit codes follow the repo's convention: 0 = done, 75 = preempted
 (:data:`~repro.checkpoint.resume.EXIT_KILLED`, the EX_TEMPFAIL code
 ``repro run --kill-after-events`` exits with — the job is resumable,
 not failed), anything else = failed.  A run that ends ``exhausted``
-(the model raised a ``ResourceError``) is done: its result document
+(the runtime raised an ``ExhaustedError``) is done: its result document
 records the error, and the cache keeps it like any other result.
 
 The migration story is just resume: the worker opens its run through

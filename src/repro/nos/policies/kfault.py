@@ -11,7 +11,7 @@ Beyond k the guarantee is gone and the policy degrades instead of
 raising: the dead core's orphans are shed lowest-criticality-first
 (ties broken on task id), producing a deterministic shed ledger the
 runtime records — the run completes with reduced service rather than
-an unhandled :class:`ResourceError`.
+an unhandled :class:`~repro.xs1.errors.ExhaustedError`.
 """
 
 from __future__ import annotations

@@ -53,7 +53,10 @@ class Span:
     :attr:`instructions` (split per node in :attr:`instr_by_node`, since
     a nOS task may be restarted on a different core), chanends charge
     :attr:`bits_sent` at buffer entry, and every half-link hop charges
-    :attr:`wire_bits_by_class` under the link's Table I class.
+    :attr:`wire_bits_by_class` under the link's Table I class.  The
+    instruction counts are read through properties, which first book the
+    silent ``Compute`` runs still charging the span (see
+    :class:`~repro.xs1.core.SilentRun`).
     """
 
     name: str
@@ -63,8 +66,10 @@ class Span:
     node_id: int | None = None
     start_ps: int | None = None
     end_ps: int | None = None
-    instructions: int = 0
-    instr_by_node: dict[int, int] = field(default_factory=dict)
+    #: Instructions charged so far, in total and per node; read
+    #: :attr:`instructions` and :attr:`instr_by_node` instead.
+    issued: int = 0
+    issued_by_node: dict[int, int] = field(default_factory=dict)
     #: Payload bits this span pushed into transmit buffers.
     bits_sent: int = 0
     #: Wire bits serialized on behalf of this span, per link class —
@@ -81,6 +86,8 @@ class Span:
     #: Exported sorted, so annotated traces stay byte-stable.
     annotations: dict[str, str] = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
+    #: Silent runs charging this span that are not yet fully booked.
+    runs: list = field(default_factory=list, repr=False, compare=False)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -109,6 +116,22 @@ class Span:
             span = span.parent
         return ";".join(reversed(names))
 
+    def _settle(self) -> None:
+        for run in tuple(self.runs):  # a finished run leaves the list
+            run.settle()
+
+    @property
+    def instructions(self) -> int:
+        """Issued instructions charged, up to the latest event."""
+        self._settle()
+        return self.issued
+
+    @property
+    def instr_by_node(self) -> dict[int, int]:
+        """:attr:`instructions` split by the node that issued them."""
+        self._settle()
+        return self.issued_by_node
+
     @property
     def wire_bits(self) -> int:
         """Total wire bits across all link classes."""
@@ -122,8 +145,8 @@ class Span:
 
     def count_instruction(self, node_id: int) -> None:
         """Charge one issued instruction executed on ``node_id``."""
-        self.instructions += 1
-        self.instr_by_node[node_id] = self.instr_by_node.get(node_id, 0) + 1
+        self.issued += 1
+        self.issued_by_node[node_id] = self.issued_by_node.get(node_id, 0) + 1
 
     def add_wire_bits(self, link_class: str, bits: int) -> None:
         """Charge ``bits`` serialized on a link of ``link_class``."""

@@ -103,8 +103,13 @@ class Simulator:
         #: The run's trace recorder (a
         #: :class:`~repro.sim.tracing.TraceRecorder`), or None when
         #: tracing is off.  Every component that records reads it here,
-        #: so one assignment attaches or detaches tracing everywhere.
+        #: so one assignment attaches or detaches tracing everywhere;
+        #: once events are queued, attach with :meth:`attach_tracer`.
         self.tracer = None
+        #: Called after :meth:`attach_tracer` sets a tracer: components
+        #: that skip per-event calls while untraced (a core's silent
+        #: issue runs) take them up again.
+        self.trace_listeners: list[Callable[[], None]] = []
 
     @property
     def now(self) -> int:
@@ -464,6 +469,16 @@ class Simulator:
                     tracer.dropped - dropped_before
                 )
 
+    def attach_tracer(self, tracer) -> None:
+        """Set :attr:`tracer` mid-run, so it records every event from now.
+
+        Each of :attr:`trace_listeners` is then called, in order.
+        """
+        self.tracer = tracer
+        if tracer is not None:
+            for listener in self.trace_listeners:
+                listener()
+
     def _open_window(self, profiler) -> None:
         """Count ``profiler``'s queue pushes and time on this kernel
         from now, and let it sample this kernel's queue depth."""
@@ -485,12 +500,15 @@ class Simulator:
 
         A rollback replaces the whole system, kernel included; calling
         this once the rebuilt kernel has replayed keeps the run observed.
-        The :attr:`tracer` moves, and so does every open profile (the
+        The :attr:`tracer` moves (through :meth:`attach_tracer`, so the
+        successor records every event from here), and so does every
+        open profile (the
         installed one and the outer ones it replaced): each keeps its
         ledger, adds this kernel's share of its window, and counts on
         ``successor`` from its current state.
         """
-        successor.tracer, self.tracer = self.tracer, None
+        successor.attach_tracer(self.tracer)
+        self.tracer = None
         profiler = successor._profiler = self._profiler
         self._profiler = None
         while profiler is not None:

@@ -18,6 +18,7 @@ from repro.xs1.chanend import CHANEND_BUFFER_TOKENS, Chanend
 from repro.xs1.core import CoreConfig, CoreStats, XCore
 from repro.xs1.errors import (
     AssemblerError,
+    ExhaustedError,
     MemoryAccessError,
     ResourceError,
     TrapError,
@@ -58,6 +59,7 @@ __all__ = [
     "CoreConfig",
     "CoreStats",
     "EnergyClass",
+    "ExhaustedError",
     "Fabric",
     "HardwareThread",
     "INSTRUCTION_SET",

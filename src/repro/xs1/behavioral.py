@@ -174,7 +174,6 @@ class BehavioralThread(HardwareThread):
         super().__init__(core, core.claim_tid(), name)
         self._generator = generator
         self._current: Operation | None = None
-        self._compute_left = 0
         self._pending_result: object = None
         self._packet_accum: list[int] = []
         self._timeout_handle = None
@@ -194,7 +193,7 @@ class BehavioralThread(HardwareThread):
         state["current_op"] = (
             type(self._current).__name__ if self._current is not None else None
         )
-        state["compute_left"] = self._compute_left
+        state["compute_left"] = self.compute_left
         state["packet_accum"] = list(self._packet_accum)
         state["timeout_armed"] = self._timeout_handle is not None
         return state
@@ -210,11 +209,19 @@ class BehavioralThread(HardwareThread):
             self._current = None
             return False
         if isinstance(self._current, Compute):
-            self._compute_left = self._current.instructions
+            self.compute_left = self._current.instructions
         return True
 
     def _complete(self) -> None:
         self._current = None
+
+    def retire_compute(self, slots: int) -> None:
+        """Retire ``slots`` issue slots of the current ``Compute``, which
+        the core's silent run issued (see :class:`~repro.xs1.core.SilentRun`)."""
+        self.retired += slots
+        self.compute_left -= slots
+        if not self.compute_left:
+            self._complete()
 
     # -- one issue slot -----------------------------------------------------
 
@@ -228,11 +235,11 @@ class BehavioralThread(HardwareThread):
                 return self._count(EnergyClass.NOP)
         op = self._current
         if isinstance(op, Compute):
-            if self._compute_left == 0:
+            if self.compute_left == 0:
                 self._complete()
                 return self.step()
-            self._compute_left -= 1
-            if self._compute_left == 0:
+            self.compute_left -= 1
+            if self.compute_left == 0:
                 self._complete()
             return self._count(op.energy_class)
         if isinstance(op, SendWord):
@@ -268,7 +275,7 @@ class BehavioralThread(HardwareThread):
     # -- operation implementations -------------------------------------------
 
     def _count(self, energy_class: EnergyClass) -> StepOutcome:
-        self.instructions_executed += 1
+        self.retired += 1
         self.core.count_instruction(energy_class)
         return StepOutcome.ISSUED
 

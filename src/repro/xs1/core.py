@@ -50,22 +50,49 @@ class CoreConfig:
 
 # Hot-path names for XCore._tick: a thread's next issue cycle (so the
 # ``min`` over the rotation runs in C) and the pipeline depth.
-_next_issue = attrgetter("next_issue_cycle")
+_ready = attrgetter("ready_cycle")
 _DEPTH = HardwareThread.PIPELINE_DEPTH
 
 
 @dataclass
 class CoreStats:
-    """Execution statistics used by the energy model and the benches."""
+    """Execution statistics used by the energy model and the benches.
 
-    instructions: Counter = field(default_factory=Counter)
-    slots_issued: int = 0
+    The issue path writes the stored fields; read the properties, which
+    first book the silent run in flight (:meth:`settle`).
+    """
+
+    #: Completed instructions per energy class, booked so far.
+    by_class: Counter = field(default_factory=Counter)
+    #: Issue slots used, booked so far.
+    issued: int = 0
     #: Bubble slots counted so far *plus* the silent firings still due
     #: on :attr:`armed_tick`; read :attr:`slots_bubble` instead.
     bubbles_due: int = field(default=0, repr=False)
-    #: The core's pending tick while it fires silently through bubbles
-    #: (see :meth:`XCore._tick`), else None or a spent handle.
+    #: The core's pending tick while it fires silently (see
+    #: :meth:`XCore._tick`), else None or a spent handle.
     armed_tick: EventHandle | None = field(default=None, repr=False)
+    #: The silent ``Compute`` run :attr:`armed_tick` fires, while some
+    #: of its issue edges are not yet booked.
+    run: "SilentRun | None" = field(default=None, repr=False)
+
+    def settle(self) -> None:
+        """Book the issue edges the silent run has fired so far."""
+        run = self.run
+        if run is not None:
+            run.settle()
+
+    @property
+    def instructions(self) -> Counter:
+        """Completed instructions per energy class, up to the latest event."""
+        self.settle()
+        return self.by_class
+
+    @property
+    def slots_issued(self) -> int:
+        """Issue slots a thread used, up to the latest event."""
+        self.settle()
+        return self.issued
 
     @property
     def slots_bubble(self) -> int:
@@ -73,12 +100,83 @@ class CoreStats:
         armed = self.armed_tick
         if armed is None:
             return self.bubbles_due
+        self.settle()
         return self.bubbles_due - armed.repeat
 
     @property
     def total_instructions(self) -> int:
         """Total completed instructions across all energy classes."""
         return sum(self.instructions.values())
+
+
+class SilentRun:
+    """A lone behavioural thread's ``Compute`` slots, fired silently.
+
+    :meth:`XCore._tick` arms its tick handle to fire ``lead`` bubble
+    edges and then ``slots`` rounds of one issue edge and three bubbles,
+    all without a call.  Firing ``i`` (from 1) is an issue edge when
+    ``i > lead`` and ``i - lead - 1`` is a multiple of 4, so the
+    handle's remaining ``repeat`` says how many issues have happened;
+    :meth:`settle` books those the counters do not hold yet, exactly as
+    per-slot issuing would have written them.  The run's bubbles go into
+    ``bubbles_due`` when it is armed, like any silent firing, and each
+    booked issue moves one firing from there to ``issued``.
+    """
+
+    __slots__ = ("stats", "handle", "thread", "span", "energy_class", "node_id",
+                 "lead", "firings", "slots", "first", "booked")
+
+    def __init__(self, core: "XCore", handle: EventHandle, thread, lead: int):
+        self.stats = core.stats
+        self.handle = handle
+        self.thread = thread
+        #: A thread's span is fixed while it runs (NanoOS and
+        #: ``spawn_task`` set it before the first issue).
+        self.span = thread.span
+        self.energy_class = thread._current.energy_class
+        self.node_id = core.node_id
+        self.lead = lead
+        self.slots = thread.compute_left
+        self.firings = lead + _DEPTH * self.slots
+        #: The cycle of the run's first issue edge.
+        self.first = thread.ready_cycle
+        self.booked = 0
+        if self.span is not None:
+            self.span.runs.append(self)
+
+    def settle(self) -> None:
+        """Book the issue edges fired since the last settle."""
+        fired = self.firings - self.handle.repeat
+        done = (fired - self.lead + 3) // _DEPTH if fired > self.lead else 0
+        new = done - self.booked
+        if new:
+            self.booked = done
+            stats = self.stats
+            stats.issued += new
+            stats.bubbles_due -= new
+            stats.by_class[self.energy_class] += new
+            thread = self.thread
+            thread.ready_cycle = self.first + _DEPTH * done
+            thread.retire_compute(new)
+            span = self.span
+            if span is not None:
+                span.issued += new
+                by_node = span.issued_by_node
+                by_node[self.node_id] = by_node.get(self.node_id, 0) + new
+        if done == self.slots:
+            self.detach()
+
+    def stop(self) -> None:
+        """Book what has fired and end the run (its tick is disarmed)."""
+        self.settle()
+        if self.stats.run is self:
+            self.detach()
+
+    def detach(self) -> None:
+        """Nothing more to book: unhook from the core and the span."""
+        self.stats.run = None
+        if self.span is not None:
+            self.span.runs.remove(self)
 
 
 class XCore:
@@ -122,6 +220,8 @@ class XCore:
         #: True once the core has been killed by a fault injection; a
         #: failed core accepts no new threads and runs no further slots.
         self.failed = False
+        # A tracer attached mid-run must see every issue from then on.
+        sim.trace_listeners.append(self._disarm)
 
     # ------------------------------------------------------------------
     # Clocking
@@ -302,13 +402,16 @@ class XCore:
     def _disarm(self) -> None:
         """Stop the pending tick's silent firings (the rotation changed).
 
-        The firings already made stay counted as bubbles; the pending
-        entry keeps its ``(time, seq)`` slot and now calls :meth:`_tick`,
+        The firings already made stay counted: a silent run books its
+        issue edges so far, the rest as bubbles.  The pending entry
+        keeps its ``(time, seq)`` slot and now calls :meth:`_tick`,
         which sees the change.
         """
         stats = self.stats
         armed = stats.armed_tick
         if armed is not None:
+            if stats.run is not None:
+                stats.run.stop()
             stats.bubbles_due -= armed.repeat
             armed.repeat = 0
             stats.armed_tick = None
@@ -328,25 +431,36 @@ class XCore:
         can make them otherwise.  So the tick arms the handle it just
         scheduled to fire silently through them (see
         :class:`~repro.sim.engine.EventHandle`); every thread
-        transition and :meth:`set_frequency` disarm it.  The event
-        queue sees exactly the entries per-cycle ticking would push.
+        transition, :meth:`set_frequency` and a tracer attach disarm
+        it.  When the one thread in the rotation is a behavioural one
+        with ``k`` slots of a ``Compute`` still to go, its issue edges
+        are just as certain, and move only counters: the handle then
+        fires silently through the bubbles and the op's remaining ``k``
+        issue edges (a :class:`SilentRun`), and the next call fetches
+        the thread's next operation.  A traced run keeps one call per
+        issue, since each ``issue`` record needs its own time.  The
+        event queue sees exactly the entries per-cycle ticking would
+        push.
         """
         self._ticking = False
         rotation = self._rotation
         if not rotation:
             return
+        stats = self.stats
+        if stats.run is not None:  # the run has fired in full
+            stats.run.settle()
         sim = self.sim
         now = sim.now
         cycle = (self._cycle_anchor
                  + (now - self._anchor_time) // self._frequency.period_ps)
         skipped = 0
         for thread in rotation:
-            if thread.next_issue_cycle <= cycle:
+            if thread.ready_cycle <= cycle:
                 break
             skipped += 1
         else:
             thread = None
-            self.stats.bubbles_due += 1
+            stats.bubbles_due += 1
         if thread is not None:
             # The issuing thread goes to the back: round-robin order.
             rotation.rotate(-1 - skipped)
@@ -356,8 +470,8 @@ class XCore:
             finally:
                 self.current_thread = None
             if outcome is not StepOutcome.PAUSED:  # issued or retired-and-halted
-                thread.next_issue_cycle = cycle + _DEPTH
-                self.stats.slots_issued += 1
+                thread.ready_cycle = cycle + _DEPTH
+                stats.issued += 1
                 if sim.tracer is not None:
                     sim.tracer.record(now, self.name, "issue", thread.name)
         if self._ticking or not rotation:
@@ -369,11 +483,14 @@ class XCore:
         handle = sim.schedule_at(anchor + edges * period, self._tick)
         if len(rotation) < _DEPTH:
             # The next edge is cycle _cycle_anchor + edges.
-            bubbles = min(map(_next_issue, rotation)) - self._cycle_anchor - edges
+            bubbles = min(map(_ready, rotation)) - self._cycle_anchor - edges
+            if (thread is not None and thread.compute_left
+                    and len(rotation) == 1 and sim.tracer is None):
+                stats.run = SilentRun(self, handle, thread, bubbles)
+                bubbles = stats.run.firings
             if bubbles > 0:
                 handle.period = period
                 handle.repeat = bubbles
-                stats = self.stats
                 stats.bubbles_due += bubbles
                 stats.armed_tick = handle
 
@@ -382,7 +499,7 @@ class XCore:
     # ------------------------------------------------------------------
 
     def chanend(self, index: int) -> Chanend:
-        """The channel end with local index ``index``."""
+        """The channel end with local index ``index`` (host-side lookup)."""
         try:
             return self._chanends[index]
         except IndexError:
@@ -423,7 +540,7 @@ class XCore:
         res_type = resource_id & 0xFF
         index = (resource_id >> 8) & 0xFF
         if res_type == RES_TYPE_CHANEND:
-            chanend = self.chanend(index)
+            chanend = self._chanend_at(index)
             chanend.allocated = False
             chanend.reset()
         elif res_type == RES_TYPE_TIMER:
@@ -439,17 +556,26 @@ class XCore:
     def _encode_resource(self, index: int, res_type: int) -> int:
         return (self.node_id << 16) | (index << 8) | res_type
 
+    # An instruction operand names a resource by an 8-bit index; one
+    # outside the pool traps, as an unallocated one does.
+
+    def _chanend_at(self, index: int) -> Chanend:
+        try:
+            return self._chanends[index]
+        except IndexError:
+            raise TrapError(f"{self.name}: no chanend {index}") from None
+
     def _timer_at(self, index: int) -> TimerResource:
         try:
             return self._timers[index]
         except IndexError:
-            raise ResourceError(f"{self.name}: no timer {index}") from None
+            raise TrapError(f"{self.name}: no timer {index}") from None
 
     def _lock_at(self, index: int) -> LockResource:
         try:
             return self._locks[index]
         except IndexError:
-            raise ResourceError(f"{self.name}: no lock {index}") from None
+            raise TrapError(f"{self.name}: no lock {index}") from None
 
     def check_timer(self, resource_id: int, thread: HardwareThread) -> TimerResource:
         """Validate a timer resource id for ``in``; returns the timer."""
@@ -471,7 +597,7 @@ class XCore:
 
     def count_instruction(self, energy_class: EnergyClass) -> None:
         """Record one completed instruction for the energy model."""
-        self.stats.instructions[energy_class] += 1
+        self.stats.by_class[energy_class] += 1
         thread = self.current_thread
         if thread is not None and thread.span is not None:
             thread.span.count_instruction(self.node_id)

@@ -29,5 +29,15 @@ class ResourceError(XS1Error):
     """Raised for invalid resource (chanend/timer/lock) operations."""
 
 
+class ExhaustedError(ResourceError):
+    """The runtime ran out of machine: every core failed, no hardware
+    thread is free, or the fault budget is spent.
+
+    A run that raises it ends with outcome ``exhausted`` (see
+    :class:`~repro.checkpoint.resume.ResumableRun`); any other
+    :class:`ResourceError` is a workload's own error and fails the run.
+    """
+
+
 class TrapError(XS1Error):
     """Raised when a thread executes an illegal or unimplemented operation."""

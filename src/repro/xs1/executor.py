@@ -345,7 +345,7 @@ def _local_chanend(core: "XCore", resource_id: int, thread: "IsaThread") -> "Cha
         raise TrapError(
             f"{thread.name}: chanend {address} is not on node {core.node_id}"
         )
-    chanend = core.chanend(address.index)
+    chanend = core._chanend_at(address.index)
     if not chanend.allocated:
         raise TrapError(f"{thread.name}: chanend {address} not allocated")
     return chanend

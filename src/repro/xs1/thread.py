@@ -50,8 +50,15 @@ class HardwareThread:
         self.name = name or f"{core.name}.t{tid}"
         self.state = ThreadState.RUNNABLE
         self.regs = RegisterFile()
-        self.next_issue_cycle = 0
-        self.instructions_executed = 0
+        #: The first cycle this thread may issue in, and the
+        #: instructions it retired, as booked so far; a silent run on
+        #: the core books its slots lazily, so read
+        #: :attr:`next_issue_cycle` and :attr:`instructions_executed`.
+        self.ready_cycle = 0
+        self.retired = 0
+        #: Issue slots left in the current ``Compute`` operation; only a
+        #: behavioural thread has any.
+        self.compute_left = 0
         self.pause_reason: str | None = None
         #: Times this thread blocked (channel, lock, wait) — an
         #: observability counter surfaced as ``core.thread_pauses``.
@@ -63,6 +70,18 @@ class HardwareThread:
         #: Active causal span (:mod:`repro.obs.spans`); instructions this
         #: thread issues and tokens it sends are charged to it.
         self.span = None
+
+    @property
+    def next_issue_cycle(self) -> int:
+        """The first cycle this thread may issue in, up to the latest event."""
+        self.core.stats.settle()
+        return self.ready_cycle
+
+    @property
+    def instructions_executed(self) -> int:
+        """Instructions this thread retired, up to the latest event."""
+        self.core.stats.settle()
+        return self.retired
 
     @property
     def runnable(self) -> bool:
@@ -193,6 +212,6 @@ class IsaThread(HardwareThread):
         handler, args, energy_class = table[pc]
         outcome = handler(self.core, self, args)
         if outcome is not _PAUSED:  # issued or halting both retire
-            self.instructions_executed += 1
+            self.retired += 1
             self.core.count_instruction(energy_class)
         return outcome

@@ -109,6 +109,33 @@ class TestExhausted:
     PARAMS = {"policy": "least_loaded", "k": 0, "kills": 1, "seed": 1,
               "kill_from_us": 5.0, "kill_every_us": 6.0}
 
+    def test_a_workload_resource_error_fails_the_run(self, monkeypatch):
+        """Only NanoOS running out of machine is an outcome: a workload's
+        own ``send before setd`` propagates out of the run."""
+        from repro import SwallowSystem
+        from repro.checkpoint import workloads
+        from repro.checkpoint.workloads import RunContext
+        from repro.xs1 import ExhaustedError, ResourceError, SendWord
+
+        def unwired(params: dict) -> RunContext:
+            system = SwallowSystem()
+            chanend = system.core(0).allocate_chanend()
+
+            def sender():
+                yield SendWord(chanend, 7)
+
+            system.spawn_task(system.core(0), sender())
+            return RunContext(system=system)
+
+        monkeypatch.setitem(workloads.WORKLOADS, "unwired", unwired)
+        monkeypatch.setitem(workloads.WORKLOAD_PARAMS, "unwired",
+                            workloads.SHARED_PARAMS)
+        run = ResumableRun("unwired", {})
+        with pytest.raises(ResourceError, match="send before setd") as raised:
+            run.run()
+        assert not isinstance(raised.value, ExhaustedError)
+        assert run.exhausted is None
+
     def test_resource_error_ends_the_run_exhausted(self, tmp_path):
         """A ResourceError out of the model (here a fault budget of 0
         meeting a core kill) is an outcome, and a killed-and-resumed run

@@ -46,24 +46,47 @@ class TestCompute:
         with pytest.raises(ValueError):
             Compute(-1)
 
-    def test_behavioral_matches_isa_timing(self, sim, core, make_core):
-        """Compute(n) should take the same time as n ISA instructions."""
+    @pytest.mark.parametrize("threads", range(1, 6))
+    def test_behavioral_matches_isa_timing(self, sim, core, make_core, threads):
+        """``Compute(202)`` issues exactly like the 202 instructions of a
+        ``subi``/``bt`` loop, thread for thread and cycle for cycle.
+
+        One pipeline effect differs, at the end: a behavioural thread's
+        halt (its generator's ``StopIteration``) takes one issue slot of
+        its own that retires no instruction, while ISA ``freet`` retires
+        as a NOP in the slot of the 202nd instruction.  So each
+        behavioural thread uses one slot more and halts one issue period
+        (``max(4, threads)`` cycles, Eq. 2) later.
+        """
         other = make_core()
+        halts: dict = {core: [], other: []}
+        for each in (core, other):
+            each.on_halt_callbacks.append(
+                lambda thread, each=each: halts[each].append(each.cycle))
 
         def body():
             yield Compute(202)
 
-        behavioral = BehavioralThread(core, body())
-        isa = other.spawn(assemble("""
+        program = assemble("""
             ldc r0, 100
         loop:
             subi r0, r0, 1
             bt r0, loop
             freet
-        """))
+        """)
+        behavioral = [BehavioralThread(core, body()) for _ in range(threads)]
+        isa = [other.spawn(program) for _ in range(threads)]
         sim.run()
-        assert behavioral.instructions_executed == isa.instructions_executed
-        assert core.cycle == pytest.approx(other.cycle, abs=8)
+        period = max(4, threads)
+        for group in (behavioral, isa):
+            assert [t.instructions_executed for t in group] == [202] * threads
+        assert core.stats.total_instructions == 202 * threads
+        assert other.stats.total_instructions == 202 * threads
+        assert core.stats.slots_issued == 203 * threads
+        assert other.stats.slots_issued == 202 * threads
+        # Thread i issues its j-th slot at cycle 1 + i + period * j.
+        assert halts[other] == [1 + i + period * 201 for i in range(threads)]
+        assert halts[core] == [1 + i + period * 202 for i in range(threads)]
 
 
 class TestCommunication:

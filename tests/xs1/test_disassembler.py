@@ -1,7 +1,7 @@
 """Disassembler round-trip: listing -> reassembly -> identical program."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.xs1 import INSTRUCTION_SET, Operand, assemble
@@ -79,6 +79,10 @@ class TestRoundTrip:
 
     @settings(max_examples=20, deadline=None)
     @given(random_programs(_STRAIGHT_LINE))
+    # A resource operand whose index lies outside the pool (timer 255)
+    # traps, as an unallocated index in range does.
+    @example("add r0, r0, r0\nadd r0, r0, r0\nadd r0, r0, r0\n"
+             "not r0, r0\ntsetafter r0, r0\nfreet")
     def test_roundtrip_execution_equivalent(self, source):
         """The reassembled program executes identically."""
         from repro.sim import Simulator
