@@ -55,7 +55,7 @@ class Span:
     :attr:`bits_sent` at buffer entry, and every half-link hop charges
     :attr:`wire_bits_by_class` under the link's Table I class.  The
     instruction counts are read through properties, which first book the
-    silent ``Compute`` runs still charging the span (see
+    silent issue runs still charging the span (see
     :class:`~repro.xs1.core.SilentRun`).
     """
 

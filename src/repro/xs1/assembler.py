@@ -55,6 +55,15 @@ class Program:
 
         return [decode(instruction) for instruction in self.instructions]
 
+    @cached_property
+    def quiet_bound(self) -> list[int]:
+        """Per ``pc``, the quiet instructions a thread is sure to issue
+        from there (:func:`~repro.xs1.executor.quiet_bound`); built once,
+        on first use."""
+        from repro.xs1.executor import quiet_bound
+
+        return quiet_bound(self.instructions)
+
     def entry(self, label: str = "start") -> int:
         """Instruction index of ``label`` (defaults to ``start``, else 0)."""
         if label in self.labels:

@@ -215,11 +215,11 @@ class BehavioralThread(HardwareThread):
     def _complete(self) -> None:
         self._current = None
 
-    def retire_compute(self, slots: int) -> None:
-        """Retire ``slots`` issue slots of the current ``Compute``, which
-        the core's silent run issued (see :class:`~repro.xs1.core.SilentRun`)."""
-        self.retired += slots
-        self.compute_left -= slots
+    def issue_fired(self, count: int, by_class: dict) -> None:
+        """Retire ``count`` slots of the current ``Compute``."""
+        by_class[self._current.energy_class] += count
+        self.retired += count
+        self.compute_left -= count
         if not self.compute_left:
             self._complete()
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from math import inf
 from operator import attrgetter
 from typing import Callable, Iterable
 
@@ -72,8 +73,8 @@ class CoreStats:
     #: The core's pending tick while it fires silently (see
     #: :meth:`XCore._tick`), else None or a spent handle.
     armed_tick: EventHandle | None = field(default=None, repr=False)
-    #: The silent ``Compute`` run :attr:`armed_tick` fires, while some
-    #: of its issue edges are not yet booked.
+    #: The silent run :attr:`armed_tick` fires, while some of its issue
+    #: edges are not yet booked.
     run: "SilentRun | None" = field(default=None, repr=False)
 
     def settle(self) -> None:
@@ -110,60 +111,83 @@ class CoreStats:
 
 
 class SilentRun:
-    """A lone behavioural thread's ``Compute`` slots, fired silently.
+    """The issue edges of a steady rotation, fired silently.
 
-    :meth:`XCore._tick` arms its tick handle to fire ``lead`` bubble
-    edges and then ``slots`` rounds of one issue edge and three bubbles,
-    all without a call.  Firing ``i`` (from 1) is an issue edge when
-    ``i > lead`` and ``i - lead - 1`` is a multiple of 4, so the
-    handle's remaining ``repeat`` says how many issues have happened;
-    :meth:`settle` books those the counters do not hold yet, exactly as
-    per-slot issuing would have written them.  The run's bubbles go into
-    ``bubbles_due`` when it is armed, like any silent firing, and each
-    booked issue moves one firing from there to ``issued``.
+    :meth:`XCore._arm` arms one when its rotation is in round-robin
+    steady state: the thread ``i`` places from the front issues at
+    cycles ``turns[i] + pace * j``, ``j = 0, 1, ...``, with ``pace =
+    max(4, N)`` for ``N`` threads (Eq. 2).  Each thread has a budget of
+    issues it is sure to make without a call
+    (:meth:`HardwareThread.silent_budget`); the tick handle fires
+    silently through every edge before ``end``, the first issue edge of
+    a thread whose budget is spent, and the next call issues there.  So
+    the handle's remaining ``repeat`` says which edge the run has
+    reached, and :meth:`settle` carries out the issues up to there that
+    are not booked yet (each thread's :meth:`~HardwareThread.issue_fired`,
+    its ready cycle, the core's and spans' counters and the rotation's
+    order), exactly as per-cycle issuing would have left them.  The
+    run's firings go into ``bubbles_due`` when it is armed, like any
+    silent firing, and each booked issue moves one firing from there to
+    ``issued``.
     """
 
-    __slots__ = ("stats", "handle", "thread", "span", "energy_class", "node_id",
-                 "lead", "firings", "slots", "first", "booked")
+    __slots__ = ("stats", "handle", "rotation", "threads", "spans", "node_id",
+                 "turns", "pace", "end", "booked")
 
-    def __init__(self, core: "XCore", handle: EventHandle, thread, lead: int):
+    def __init__(self, core: "XCore", handle: EventHandle, turns: list[int],
+                 pace: int, end: int):
         self.stats = core.stats
         self.handle = handle
-        self.thread = thread
-        #: A thread's span is fixed while it runs (NanoOS and
-        #: ``spawn_task`` set it before the first issue).
-        self.span = thread.span
-        self.energy_class = thread._current.energy_class
+        self.rotation = core._rotation
+        self.threads = tuple(core._rotation)
         self.node_id = core.node_id
-        self.lead = lead
-        self.slots = thread.compute_left
-        self.firings = lead + _DEPTH * self.slots
-        #: The cycle of the run's first issue edge.
-        self.first = thread.ready_cycle
-        self.booked = 0
-        if self.span is not None:
-            self.span.runs.append(self)
+        self.turns = turns
+        self.pace = pace
+        self.end = end
+        self.booked = [0] * len(turns)
+        #: Each distinct span the threads charge; a thread's span is
+        #: fixed while it runs (NanoOS and ``spawn_task`` set it before
+        #: the first issue).
+        self.spans: list = []
+        for thread in self.threads:
+            span = thread.span
+            if span is not None and all(span is not seen for seen in self.spans):
+                self.spans.append(span)
+                span.runs.append(self)
 
     def settle(self) -> None:
         """Book the issue edges fired since the last settle."""
-        fired = self.firings - self.handle.repeat
-        done = (fired - self.lead + 3) // _DEPTH if fired > self.lead else 0
-        new = done - self.booked
-        if new:
-            self.booked = done
-            stats = self.stats
-            stats.issued += new
-            stats.bubbles_due -= new
-            stats.by_class[self.energy_class] += new
-            thread = self.thread
-            thread.ready_cycle = self.first + _DEPTH * done
-            thread.retire_compute(new)
-            span = self.span
-            if span is not None:
-                span.issued += new
-                by_node = span.issued_by_node
-                by_node[self.node_id] = by_node.get(self.node_id, 0) + new
-        if done == self.slots:
+        # The cycle of the latest edge the handle has fired.
+        last = self.end - 1 - self.handle.repeat
+        turns = self.turns
+        if last < turns[0]:
+            return
+        stats = self.stats
+        by_class = stats.by_class
+        pace = self.pace
+        booked = self.booked
+        total = 0
+        for offset, thread in enumerate(self.threads):
+            turn = turns[offset]
+            if last < turn:
+                break
+            done = (last - turn) // pace + 1
+            new = done - booked[offset]
+            if new:
+                booked[offset] = done
+                thread.issue_fired(new, by_class)
+                thread.ready_cycle = turn + pace * (done - 1) + _DEPTH
+                span = thread.span
+                if span is not None:
+                    span.issued += new
+                    by_node = span.issued_by_node
+                    by_node[self.node_id] = by_node.get(self.node_id, 0) + new
+                total += new
+        if total:
+            stats.issued += total
+            stats.bubbles_due -= total
+            self.rotation.rotate(-total)
+        if last == self.end - 1:
             self.detach()
 
     def stop(self) -> None:
@@ -173,10 +197,10 @@ class SilentRun:
             self.detach()
 
     def detach(self) -> None:
-        """Nothing more to book: unhook from the core and the span."""
+        """Nothing more to book: unhook from the core and the spans."""
         self.stats.run = None
-        if self.span is not None:
-            self.span.runs.remove(self)
+        for span in self.spans:
+            span.runs.remove(self)
 
 
 class XCore:
@@ -344,7 +368,7 @@ class XCore:
         thread = IsaThread(self, self._next_tid, program, entry=pc, name=name)
         self._next_tid += 1
         for reg_name, value in (regs or {}).items():
-            thread.regs.write_named(reg_name, value)
+            thread.registers.write_named(reg_name, value)
         self.threads.append(thread)
         self.on_thread_runnable(thread)
         return thread
@@ -425,20 +449,20 @@ class XCore:
         issue because the issuing thread may rescale the clock (a halt
         can trigger a DVFS step, which re-anchors it).
 
-        With fewer runnable threads than pipeline stages, the edges
-        before the first cycle at which a rotation thread may issue are
-        bubbles, and nothing but a change to the rotation or the clock
-        can make them otherwise.  So the tick arms the handle it just
-        scheduled to fire silently through them (see
+        The edges before the first cycle at which a rotation thread may
+        issue are bubbles, and nothing but a change to the rotation or
+        the clock can make them otherwise.  So the tick arms the handle
+        it just scheduled to fire silently through them (see
         :class:`~repro.sim.engine.EventHandle`); every thread
         transition, :meth:`set_frequency` and a tracer attach disarm
-        it.  When the one thread in the rotation is a behavioural one
-        with ``k`` slots of a ``Compute`` still to go, its issue edges
-        are just as certain, and move only counters: the handle then
-        fires silently through the bubbles and the op's remaining ``k``
-        issue edges (a :class:`SilentRun`), and the next call fetches
-        the thread's next operation.  A traced run keeps one call per
-        issue, since each ``issue`` record needs its own time.  The
+        it.  When the rotation is in round-robin steady state, its
+        issue edges are just as certain as long as each thread's
+        next issue is within its :meth:`~HardwareThread.silent_budget`
+        (quiet ISA instructions, ``Compute`` slots), and they move only
+        state that is read through settling properties: the handle
+        then also fires through them (a :class:`SilentRun`), up to the
+        first issue that needs a call.  A traced run keeps one call
+        per issue, since each ``issue`` record needs its own time.  The
         event queue sees exactly the entries per-cycle ticking would
         push.
         """
@@ -481,18 +505,64 @@ class XCore:
         period = self._frequency.period_ps
         edges = (now - anchor) // period + 1
         handle = sim.schedule_at(anchor + edges * period, self._tick)
-        if len(rotation) < _DEPTH:
-            # The next edge is cycle _cycle_anchor + edges.
-            bubbles = min(map(_ready, rotation)) - self._cycle_anchor - edges
-            if (thread is not None and thread.compute_left
-                    and len(rotation) == 1 and sim.tracer is None):
-                stats.run = SilentRun(self, handle, thread, bubbles)
-                bubbles = stats.run.firings
-            if bubbles > 0:
-                handle.period = period
-                handle.repeat = bubbles
-                stats.bubbles_due += bubbles
-                stats.armed_tick = handle
+        self._arm(handle, self._cycle_anchor + edges, period)
+
+    def _arm(self, handle: EventHandle, edge: int, period: int) -> None:
+        """Arm ``handle``, the tick at cycle ``edge``, to fire silently
+        through every edge before the next one that needs a call.
+
+        No thread may issue before the lowest ready cycle, so the edges
+        up to there are bubbles.  Round-robin issue gives each thread,
+        front to back, its turn: its ready cycle, or the edge after the
+        previous thread's turn if that is later.  The rotation is in
+        steady state when no thread is ready during a bubble before
+        another's turn.  Only the three threads that issued last can be
+        ready after ``edge``, one per cycle, so the turns then fall
+        within four cycles of the first, and each thread issues every
+        ``pace = max(4, N)`` cycles from its turn on (Eq. 2): the issue
+        edges up to the first one of a thread whose budget is spent
+        need no call either.  A transient round (a thread that woke up
+        out of turn) ticks normally, and so does a traced run.
+        """
+        rotation = self._rotation
+        end = None
+        # With nothing to fire at the front, only the bubbles are certain.
+        if self.sim.tracer is None and rotation[0].silent_budget():
+            pace = len(rotation)
+            if pace < _DEPTH:
+                pace = _DEPTH
+            turns = []
+            turn = edge - 1
+            floor = 0  # a thread ready before the latest bubble would issue in it
+            end = inf
+            for thread in rotation:
+                ready = thread.ready_cycle
+                if ready < floor:
+                    end = None
+                    break
+                if ready > turn + 1:
+                    turn = floor = ready
+                else:
+                    turn += 1
+                turns.append(turn)
+                spent = turn + pace * thread.silent_budget()
+                if spent < end:
+                    end = spent
+        if end is None:
+            first = min(map(_ready, rotation))
+            if first < edge:
+                first = edge
+            end = first
+        else:  # steady: ``pace`` and ``turns`` are set
+            first = turns[0]
+        if end > edge:
+            stats = self.stats
+            handle.period = period
+            handle.repeat = end - edge
+            stats.bubbles_due += end - edge
+            stats.armed_tick = handle
+            if end > first:
+                stats.run = SilentRun(self, handle, turns, pace, end)
 
     # ------------------------------------------------------------------
     # Resources

@@ -11,28 +11,43 @@ energy_class)`` issue row once per program
 (:attr:`repro.xs1.assembler.Program.issue_table`); threads issue from
 those rows by ``pc`` and retire the instruction themselves
 (:meth:`repro.xs1.thread.IsaThread.step`).
+
+A handler registered ``quiet`` reads and writes only its thread's
+registers and pc, and cannot trap while its register operands lie in
+the file; :func:`quiet_bound` counts, per pc, the quiet instructions a
+thread is sure to issue next, which a core fires without a call (see
+:class:`repro.xs1.core.SilentRun`).
 """
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from repro.network.header import CHANEND_TYPE, ChanendAddress
-from repro.network.token import Token, control_token, data_token, tokens_to_word, word_to_tokens
-from repro.xs1.errors import ResourceError, TrapError
+from repro.network.token import (
+    TOKENS_PER_WORD,
+    Token,
+    control_token,
+    data_token,
+    tokens_to_word,
+    word_to_tokens,
+)
+from repro.xs1.chanend import Chanend
+from repro.xs1.errors import TrapError
 from repro.xs1.isa import (
     RES_TYPE_CHANEND,
     RES_TYPE_LOCK,
     RES_TYPE_TIMER,
     EnergyClass,
     Instruction,
+    Operand,
 )
-from repro.xs1.registers import s32, u32
+from repro.xs1.registers import NUM_REGISTERS, REGISTER_INDEX, s32, u32
 from repro.xs1.resources import TimerResource
 
 if TYPE_CHECKING:
-    from repro.xs1.chanend import Chanend
     from repro.xs1.core import XCore
     from repro.xs1.thread import IsaThread
 
@@ -50,40 +65,122 @@ class StepOutcome(Enum):
 
 
 _ISSUED = StepOutcome.ISSUED
+#: A register holds 32 bits; handlers wrap what they store.
+_MASK = 0xFFFF_FFFF
+_LR = REGISTER_INDEX["lr"]
 
 _Handler = Callable[["XCore", "IsaThread", tuple[int, ...]], StepOutcome]
 _HANDLERS: dict[str, _Handler] = {}
+
+#: Where a quiet instruction at ``pc`` with ``args`` may go next; an
+#: empty tuple means only issuing it tells (a computed branch).
+_Flow = Callable[[int, tuple[int, ...]], tuple[int, ...]]
+#: The quiet mnemonics, each with its flow.
+_QUIET: dict[str, _Flow] = {}
 
 #: One decoded instruction: what :meth:`IsaThread.step` issues.
 IssueRow = tuple[_Handler, tuple[int, ...], EnergyClass]
 
 
-def _handler(mnemonic: str) -> Callable[[_Handler], _Handler]:
+def _next(pc: int, args: tuple[int, ...]) -> tuple[int, ...]:
+    return (pc + 1,)
+
+
+def _to_label(pc: int, args: tuple[int, ...]) -> tuple[int, ...]:
+    return (args[-1],)
+
+
+def _either(pc: int, args: tuple[int, ...]) -> tuple[int, ...]:
+    return (pc + 1, args[-1])
+
+
+def _computed(pc: int, args: tuple[int, ...]) -> tuple[int, ...]:
+    return ()
+
+
+def _handler(mnemonic: str, quiet: _Flow | None = None) -> Callable[[_Handler], _Handler]:
     def register(func: _Handler) -> _Handler:
         _HANDLERS[mnemonic] = func
+        if quiet is not None:
+            _QUIET[mnemonic] = quiet
         return func
 
     return register
 
 
+def _register_outside_file(instruction: Instruction) -> int | None:
+    """The first register operand of ``instruction`` that names no
+    register (only an instruction built by hand can have one)."""
+    for kind, value in zip(instruction.spec.operands, instruction.args):
+        if kind is Operand.REG and not 0 <= value < NUM_REGISTERS:
+            return value
+    return None
+
+
 def decode(instruction: Instruction) -> IssueRow:
     """The ``(handler, args, energy_class)`` row ``instruction`` issues as.
 
-    A mnemonic without a handler decodes to a row that traps when (and
-    only when) it issues.
+    A mnemonic without a handler, or an instruction with a register
+    operand outside the file, decodes to a row that traps when (and only
+    when) it issues; so handlers index the register file directly.
     """
-    handler = _HANDLERS.get(instruction.mnemonic)
+    mnemonic = instruction.mnemonic
+    handler = _HANDLERS.get(mnemonic)
+    index = _register_outside_file(instruction)
     if handler is None:
-        mnemonic = instruction.mnemonic
 
         def handler(core, thread, args):
             raise TrapError(f"{thread.name}: unimplemented mnemonic {mnemonic!r}")
 
+    elif index is not None:
+
+        def handler(core, thread, args):
+            raise TrapError(f"{thread.name}: invalid register index {index}")
+
     return handler, instruction.args, instruction.energy_class
 
 
+#: The bound of a pc whose quiet paths never end (a quiet loop with no
+#: way out), so that a silent run over it still ends.
+QUIET_CAP = 1 << 16
+
+
+def quiet_bound(instructions: list[Instruction]) -> list[int]:
+    """Per pc, the quiet instructions that issue on every path from it.
+
+    The count stops before the first instruction that may pause, halt,
+    trap, read the clock or touch SRAM or a resource: one not
+    registered ``quiet`` (an unimplemented mnemonic included), or one
+    whose register operand lies outside the file.  A path that leaves
+    the program ends there; a computed branch (``bru``, ``ret``) ends
+    it after itself.  The counts are the shortest distances to such an
+    end, at most :data:`QUIET_CAP`.
+    """
+    size = len(instructions)
+    flows: list[tuple[int, ...] | None] = []
+    for pc, instruction in enumerate(instructions):
+        flow = _QUIET.get(instruction.mnemonic)
+        if flow is None or _register_outside_file(instruction) is not None:
+            flows.append(None)
+        else:
+            flows.append(flow(pc, instruction.args))
+    bound = [0 if targets is None else QUIET_CAP for targets in flows]
+    changed = True
+    while changed:
+        changed = False
+        for pc, targets in enumerate(flows):
+            if targets is None:
+                continue
+            after = min((bound[target] if 0 <= target < size else 0
+                         for target in targets), default=0)
+            if after + 1 < bound[pc]:
+                bound[pc] = after + 1
+                changed = True
+    return bound
+
+
 def _advance(thread: "IsaThread") -> StepOutcome:
-    thread.pc += 1
+    thread.ip += 1
     return _ISSUED
 
 
@@ -91,99 +188,102 @@ def _advance(thread: "IsaThread") -> StepOutcome:
 # ALU
 # ---------------------------------------------------------------------------
 
-def _binop(operation: Callable[[int, int], int]) -> _Handler:
+def _binop(mnemonic: str, operation: Callable[[int, int], int]) -> None:
+    @_handler(mnemonic, quiet=_next)
     def run(core: "XCore", thread: "IsaThread", args: tuple[int, ...]) -> StepOutcome:
         rd, ra, rb = args
-        regs = thread.regs
-        regs.write(rd, operation(regs.read(ra), regs.read(rb)))
-        thread.pc += 1
+        regs = thread.registers.values
+        regs[rd] = operation(regs[ra], regs[rb]) & _MASK
+        thread.ip += 1
         return _ISSUED
 
-    return run
 
-
-def _binop_imm(operation: Callable[[int, int], int]) -> _Handler:
+def _binop_imm(mnemonic: str, operation: Callable[[int, int], int]) -> None:
+    @_handler(mnemonic, quiet=_next)
     def run(core: "XCore", thread: "IsaThread", args: tuple[int, ...]) -> StepOutcome:
         rd, ra, imm = args
-        regs = thread.regs
-        regs.write(rd, operation(regs.read(ra), imm))
-        thread.pc += 1
+        regs = thread.registers.values
+        regs[rd] = operation(regs[ra], imm) & _MASK
+        thread.ip += 1
         return _ISSUED
 
-    return run
 
-
-_HANDLERS["add"] = _binop(lambda a, b: a + b)
-_HANDLERS["sub"] = _binop(lambda a, b: a - b)
-_HANDLERS["mul"] = _binop(lambda a, b: a * b)
-_HANDLERS["and"] = _binop(lambda a, b: a & b)
-_HANDLERS["or"] = _binop(lambda a, b: a | b)
-_HANDLERS["xor"] = _binop(lambda a, b: a ^ b)
-_HANDLERS["shl"] = _binop(lambda a, b: a << (b & 31))
-_HANDLERS["shr"] = _binop(lambda a, b: a >> (b & 31))
-_HANDLERS["ashr"] = _binop(lambda a, b: s32(a) >> (b & 31))
-_HANDLERS["eq"] = _binop(lambda a, b: int(a == b))
-_HANDLERS["lss"] = _binop(lambda a, b: int(s32(a) < s32(b)))
-_HANDLERS["lsu"] = _binop(lambda a, b: int(a < b))
-_HANDLERS["addi"] = _binop_imm(lambda a, imm: a + imm)
-_HANDLERS["subi"] = _binop_imm(lambda a, imm: a - imm)
-_HANDLERS["shli"] = _binop_imm(lambda a, imm: a << (imm & 31))
-_HANDLERS["shri"] = _binop_imm(lambda a, imm: a >> (imm & 31))
-_HANDLERS["eqi"] = _binop_imm(lambda a, imm: int(a == u32(imm)))
+_binop("add", operator.add)
+_binop("sub", operator.sub)
+_binop("mul", operator.mul)
+_binop("and", operator.and_)
+_binop("or", operator.or_)
+_binop("xor", operator.xor)
+_binop("shl", lambda a, b: a << (b & 31))
+_binop("shr", lambda a, b: a >> (b & 31))
+_binop("ashr", lambda a, b: s32(a) >> (b & 31))
+_binop("eq", lambda a, b: int(a == b))
+_binop("lss", lambda a, b: int(s32(a) < s32(b)))
+_binop("lsu", lambda a, b: int(a < b))
+_binop_imm("addi", operator.add)
+_binop_imm("subi", operator.sub)
+_binop_imm("shli", lambda a, imm: a << (imm & 31))
+_binop_imm("shri", lambda a, imm: a >> (imm & 31))
+_binop_imm("eqi", lambda a, imm: int(a == u32(imm)))
 
 
 @_handler("divu")
 def _divu(core, thread, args):
     rd, ra, rb = args
-    divisor = thread.regs.read(rb)
+    regs = thread.registers.values
+    divisor = regs[rb]
     if divisor == 0:
         raise TrapError(f"{thread.name}: division by zero")
-    thread.regs.write(rd, thread.regs.read(ra) // divisor)
+    regs[rd] = regs[ra] // divisor
     return _advance(thread)
 
 
 @_handler("remu")
 def _remu(core, thread, args):
     rd, ra, rb = args
-    divisor = thread.regs.read(rb)
+    regs = thread.registers.values
+    divisor = regs[rb]
     if divisor == 0:
         raise TrapError(f"{thread.name}: remainder by zero")
-    thread.regs.write(rd, thread.regs.read(ra) % divisor)
+    regs[rd] = regs[ra] % divisor
     return _advance(thread)
 
 
-@_handler("ldc")
+@_handler("ldc", quiet=_next)
 def _ldc(core, thread, args):
     rd, imm = args
-    thread.regs.write(rd, imm)
+    thread.registers.values[rd] = imm & _MASK
     return _advance(thread)
 
 
-@_handler("mov")
+@_handler("mov", quiet=_next)
 def _mov(core, thread, args):
     rd, rs = args
-    thread.regs.write(rd, thread.regs.read(rs))
+    regs = thread.registers.values
+    regs[rd] = regs[rs]
     return _advance(thread)
 
 
-@_handler("mkmsk")
+@_handler("mkmsk", quiet=_next)
 def _mkmsk(core, thread, args):
     rd, imm = args
-    thread.regs.write(rd, (1 << (imm & 31)) - 1 if imm < 32 else 0xFFFF_FFFF)
+    thread.registers.values[rd] = (1 << (imm & 31)) - 1 if imm < 32 else _MASK
     return _advance(thread)
 
 
-@_handler("neg")
+@_handler("neg", quiet=_next)
 def _neg(core, thread, args):
     rd, rs = args
-    thread.regs.write(rd, -thread.regs.read(rs))
+    regs = thread.registers.values
+    regs[rd] = -regs[rs] & _MASK
     return _advance(thread)
 
 
-@_handler("not")
+@_handler("not", quiet=_next)
 def _not(core, thread, args):
     rd, rs = args
-    thread.regs.write(rd, ~thread.regs.read(rs))
+    regs = thread.registers.values
+    regs[rd] = ~regs[rs] & _MASK
     return _advance(thread)
 
 
@@ -192,10 +292,11 @@ def _sext(core, thread, args):
     rd, bits = args
     if not 1 <= bits <= 32:
         raise TrapError(f"{thread.name}: sext width {bits} outside 1..32")
-    value = thread.regs.read(rd) & ((1 << bits) - 1)
+    regs = thread.registers.values
+    value = regs[rd] & ((1 << bits) - 1)
     if value & (1 << (bits - 1)):
         value |= ~((1 << bits) - 1)
-    thread.regs.write(rd, value)
+    regs[rd] = value & _MASK
     return _advance(thread)
 
 
@@ -204,42 +305,44 @@ def _zext(core, thread, args):
     rd, bits = args
     if not 1 <= bits <= 32:
         raise TrapError(f"{thread.name}: zext width {bits} outside 1..32")
-    thread.regs.write(rd, thread.regs.read(rd) & ((1 << bits) - 1))
+    thread.registers.values[rd] &= (1 << bits) - 1
     return _advance(thread)
 
 
-@_handler("andnot")
+@_handler("andnot", quiet=_next)
 def _andnot(core, thread, args):
     rd, rs = args
-    thread.regs.write(rd, thread.regs.read(rd) & ~thread.regs.read(rs))
+    regs = thread.registers.values
+    regs[rd] &= ~regs[rs]
     return _advance(thread)
 
 
-@_handler("clz")
+@_handler("clz", quiet=_next)
 def _clz(core, thread, args):
     rd, rs = args
-    value = thread.regs.read(rs)
-    thread.regs.write(rd, 32 - value.bit_length())
+    regs = thread.registers.values
+    regs[rd] = 32 - regs[rs].bit_length()
     return _advance(thread)
 
 
-@_handler("byterev")
+@_handler("byterev", quiet=_next)
 def _byterev(core, thread, args):
     rd, rs = args
-    value = thread.regs.read(rs)
-    thread.regs.write(rd, int.from_bytes(value.to_bytes(4, "little"), "big"))
+    regs = thread.registers.values
+    regs[rd] = int.from_bytes(regs[rs].to_bytes(4, "little"), "big")
     return _advance(thread)
 
 
-@_handler("bitrev")
+@_handler("bitrev", quiet=_next)
 def _bitrev(core, thread, args):
     rd, rs = args
-    value = thread.regs.read(rs)
+    regs = thread.registers.values
+    value = regs[rs]
     reversed_bits = 0
     for _ in range(32):
         reversed_bits = (reversed_bits << 1) | (value & 1)
         value >>= 1
-    thread.regs.write(rd, reversed_bits)
+    regs[rd] = reversed_bits
     return _advance(thread)
 
 
@@ -250,35 +353,40 @@ def _bitrev(core, thread, args):
 @_handler("ldw")
 def _ldw(core, thread, args):
     rd, ra, imm = args
-    thread.regs.write(rd, core.memory.load_word(u32(thread.regs.read(ra) + imm * 4)))
+    regs = thread.registers.values
+    regs[rd] = core.memory.load_word(u32(regs[ra] + imm * 4))
     return _advance(thread)
 
 
 @_handler("stw")
 def _stw(core, thread, args):
     rs, ra, imm = args
-    core.memory.store_word(u32(thread.regs.read(ra) + imm * 4), thread.regs.read(rs))
+    regs = thread.registers.values
+    core.memory.store_word(u32(regs[ra] + imm * 4), regs[rs])
     return _advance(thread)
 
 
 @_handler("ldb")
 def _ldb(core, thread, args):
     rd, ra, imm = args
-    thread.regs.write(rd, core.memory.load_byte(u32(thread.regs.read(ra) + imm)))
+    regs = thread.registers.values
+    regs[rd] = core.memory.load_byte(u32(regs[ra] + imm))
     return _advance(thread)
 
 
 @_handler("stb")
 def _stb(core, thread, args):
     rs, ra, imm = args
-    core.memory.store_byte(u32(thread.regs.read(ra) + imm), thread.regs.read(rs))
+    regs = thread.registers.values
+    core.memory.store_byte(u32(regs[ra] + imm), regs[rs])
     return _advance(thread)
 
 
-@_handler("ldaw")
+@_handler("ldaw", quiet=_next)
 def _ldaw(core, thread, args):
     rd, ra, imm = args
-    thread.regs.write(rd, thread.regs.read(ra) + imm * 4)
+    regs = thread.registers.values
+    regs[rd] = (regs[ra] + imm * 4) & _MASK
     return _advance(thread)
 
 
@@ -286,48 +394,48 @@ def _ldaw(core, thread, args):
 # Control flow
 # ---------------------------------------------------------------------------
 
-@_handler("bu")
+@_handler("bu", quiet=_to_label)
 def _bu(core, thread, args):
-    thread.pc = args[0]
+    thread.ip = args[0]
     return _ISSUED
 
 
-@_handler("bt")
+@_handler("bt", quiet=_either)
 def _bt(core, thread, args):
     rs, target = args
-    if thread.regs.read(rs) != 0:
-        thread.pc = target
+    if thread.registers.values[rs] != 0:
+        thread.ip = target
     else:
-        thread.pc += 1
+        thread.ip += 1
     return _ISSUED
 
 
-@_handler("bf")
+@_handler("bf", quiet=_either)
 def _bf(core, thread, args):
     rs, target = args
-    if thread.regs.read(rs) == 0:
-        thread.pc = target
+    if thread.registers.values[rs] == 0:
+        thread.ip = target
     else:
-        thread.pc += 1
+        thread.ip += 1
     return _ISSUED
 
 
-@_handler("bl")
+@_handler("bl", quiet=_to_label)
 def _bl(core, thread, args):
-    thread.regs.write_named("lr", thread.pc + 1)
-    thread.pc = args[0]
+    thread.registers.values[_LR] = (thread.ip + 1) & _MASK
+    thread.ip = args[0]
     return StepOutcome.ISSUED
 
 
-@_handler("bru")
+@_handler("bru", quiet=_computed)
 def _bru(core, thread, args):
-    thread.pc = thread.regs.read(args[0])
+    thread.ip = thread.registers.values[args[0]]
     return StepOutcome.ISSUED
 
 
-@_handler("ret")
+@_handler("ret", quiet=_computed)
 def _ret(core, thread, args):
-    thread.pc = thread.regs.read_named("lr")
+    thread.ip = thread.registers.values[_LR]
     return StepOutcome.ISSUED
 
 
@@ -335,7 +443,7 @@ def _ret(core, thread, args):
 # Resources & communication
 # ---------------------------------------------------------------------------
 
-def _local_chanend(core: "XCore", resource_id: int, thread: "IsaThread") -> "Chanend":
+def _local_chanend(core: "XCore", resource_id: int, thread: "IsaThread") -> Chanend:
     if resource_id & 0xFF != CHANEND_TYPE:
         raise TrapError(
             f"{thread.name}: resource {resource_id:#010x} is not a channel end"
@@ -354,33 +462,33 @@ def _local_chanend(core: "XCore", resource_id: int, thread: "IsaThread") -> "Cha
 @_handler("getr")
 def _getr(core, thread, args):
     rd, res_type = args
-    thread.regs.write(rd, core.allocate_resource(res_type))
+    thread.registers.values[rd] = core.allocate_resource(res_type) & _MASK
     return _advance(thread)
 
 
 @_handler("freer")
 def _freer(core, thread, args):
-    core.free_resource(thread.regs.read(args[0]))
+    core.free_resource(thread.registers.values[args[0]])
     return _advance(thread)
 
 
 @_handler("setd")
 def _setd(core, thread, args):
     rs, rd = args
-    chanend = _local_chanend(core, thread.regs.read(rs), thread)
-    chanend.set_dest(ChanendAddress.decode(thread.regs.read(rd)))
+    chanend = _local_chanend(core, thread.registers.values[rs], thread)
+    chanend.set_dest(ChanendAddress.decode(thread.registers.values[rd]))
     return _advance(thread)
 
 
 @_handler("out")
 def _out(core, thread, args):
     rs, rd = args
-    resource_id = thread.regs.read(rs)
+    resource_id = thread.registers.values[rs]
     if resource_id & 0xFF == RES_TYPE_LOCK:
         core.lock_for(resource_id, thread).release(thread)
         return _advance(thread)
     chanend = _local_chanend(core, resource_id, thread)
-    tokens = word_to_tokens(thread.regs.read(rd))
+    tokens = word_to_tokens(thread.registers.values[rd])
     if chanend.tx_space() < len(tokens):
         chanend.wait_tx_space(thread, len(tokens))
         return StepOutcome.PAUSED
@@ -391,18 +499,18 @@ def _out(core, thread, args):
 @_handler("outt")
 def _outt(core, thread, args):
     rs, rd = args
-    chanend = _local_chanend(core, thread.regs.read(rs), thread)
+    chanend = _local_chanend(core, thread.registers.values[rs], thread)
     if chanend.tx_space() < 1:
         chanend.wait_tx_space(thread, 1)
         return StepOutcome.PAUSED
-    chanend.push_tx([data_token(thread.regs.read(rd))])
+    chanend.push_tx([data_token(thread.registers.values[rd])])
     return _advance(thread)
 
 
 @_handler("outct")
 def _outct(core, thread, args):
     rs, code = args
-    chanend = _local_chanend(core, thread.regs.read(rs), thread)
+    chanend = _local_chanend(core, thread.registers.values[rs], thread)
     if chanend.tx_space() < 1:
         chanend.wait_tx_space(thread, 1)
         return StepOutcome.PAUSED
@@ -410,9 +518,7 @@ def _outct(core, thread, args):
     return _advance(thread)
 
 
-def _in_chanend_word(chanend: "Chanend", thread: "IsaThread", rd: int) -> StepOutcome:
-    from repro.network.token import TOKENS_PER_WORD
-
+def _in_chanend_word(chanend: Chanend, thread: "IsaThread", rd: int) -> StepOutcome:
     if chanend.rx_available() < TOKENS_PER_WORD:
         chanend.wait_rx(thread, TOKENS_PER_WORD)
         return StepOutcome.PAUSED
@@ -426,21 +532,21 @@ def _in_chanend_word(chanend: "Chanend", thread: "IsaThread", rd: int) -> StepOu
         tokens.append(head)
     for _ in range(TOKENS_PER_WORD):
         chanend.pop_rx()
-    thread.regs.write(rd, tokens_to_word(tokens))
-    thread.pc += 1
+    thread.registers.values[rd] = tokens_to_word(tokens)
+    thread.ip += 1
     return StepOutcome.ISSUED
 
 
 @_handler("in")
 def _in(core, thread, args):
     rd, rs = args
-    resource_id = thread.regs.read(rs)
+    resource_id = thread.registers.values[rs]
     res_type = resource_id & 0xFF
     if res_type == RES_TYPE_CHANEND:
         return _in_chanend_word(_local_chanend(core, resource_id, thread), thread, rd)
     if res_type == RES_TYPE_TIMER:
         core.check_timer(resource_id, thread)
-        thread.regs.write(rd, TimerResource.read(core.sim.now))
+        thread.registers.values[rd] = TimerResource.read(core.sim.now)
         return _advance(thread)
     if res_type == RES_TYPE_LOCK:
         lock = core.lock_for(resource_id, thread)
@@ -454,7 +560,7 @@ def _in(core, thread, args):
 @_handler("intt")
 def _intt(core, thread, args):
     rd, rs = args
-    chanend = _local_chanend(core, thread.regs.read(rs), thread)
+    chanend = _local_chanend(core, thread.registers.values[rs], thread)
     if chanend.rx_available() < 1:
         chanend.wait_rx(thread, 1)
         return StepOutcome.PAUSED
@@ -462,14 +568,14 @@ def _intt(core, thread, args):
     if head.is_control:
         raise TrapError(f"{thread.name}: control token {head} on intt")
     chanend.pop_rx()
-    thread.regs.write(rd, head.value)
+    thread.registers.values[rd] = head.value
     return _advance(thread)
 
 
 @_handler("chkct")
 def _chkct(core, thread, args):
     rs, code = args
-    chanend = _local_chanend(core, thread.regs.read(rs), thread)
+    chanend = _local_chanend(core, thread.registers.values[rs], thread)
     if chanend.rx_available() < 1:
         chanend.wait_rx(thread, 1)
         return StepOutcome.PAUSED
@@ -488,11 +594,11 @@ def _chkct(core, thread, args):
 
 @_handler("gettime")
 def _gettime(core, thread, args):
-    thread.regs.write(args[0], core.cycle & 0xFFFF_FFFF)
+    thread.registers.values[args[0]] = core.cycle & _MASK
     return _advance(thread)
 
 
-@_handler("nop")
+@_handler("nop", quiet=_next)
 def _nop(core, thread, args):
     return _advance(thread)
 
@@ -522,14 +628,14 @@ def _event_resource(core: "XCore", resource_id: int, thread: "IsaThread"):
 @_handler("setv")
 def _setv(core, thread, args):
     rs, vector = args
-    resource = _event_resource(core, thread.regs.read(rs), thread)
+    resource = _event_resource(core, thread.registers.values[rs], thread)
     resource.event_vector = vector
     return _advance(thread)
 
 
 @_handler("eeu")
 def _eeu(core, thread, args):
-    resource = _event_resource(core, thread.regs.read(args[0]), thread)
+    resource = _event_resource(core, thread.registers.values[args[0]], thread)
     resource.event_enabled = True
     resource.event_thread = thread
     if resource not in thread.event_resources:
@@ -539,7 +645,7 @@ def _eeu(core, thread, args):
 
 @_handler("edu")
 def _edu(core, thread, args):
-    resource = _event_resource(core, thread.regs.read(args[0]), thread)
+    resource = _event_resource(core, thread.registers.values[args[0]], thread)
     resource.event_enabled = False
     if resource in thread.event_resources:
         thread.event_resources.remove(resource)
@@ -558,16 +664,13 @@ def _clre(core, thread, args):
 @_handler("tsetafter")
 def _tsetafter(core, thread, args):
     rs, rd = args
-    timer = core.check_timer(thread.regs.read(rs), thread)
-    timer.after_ticks = thread.regs.read(rd)
+    timer = core.check_timer(thread.registers.values[rs], thread)
+    timer.after_ticks = thread.registers.values[rd]
     return _advance(thread)
 
 
 def _ready_event(core: "XCore", thread: "IsaThread"):
     """The first enabled, ready event resource, if any."""
-    from repro.xs1.chanend import Chanend
-    from repro.xs1.resources import TimerResource
-
     for resource in thread.event_resources:
         if not resource.event_enabled:
             continue
@@ -583,19 +686,17 @@ def _waiteu(core, thread, args):
     if not thread.event_resources:
         # Bare waiteu with no events: park until externally resumed
         # (kept for host-driven tests and legacy uses).
-        thread.pc += 1
+        thread.ip += 1
         thread.pause("waiteu")
         return StepOutcome.PAUSED
     ready = _ready_event(core, thread)
     if ready is not None:
         if ready.event_vector is None:
             raise TrapError(f"{thread.name}: event fired with no vector set")
-        thread.pc = ready.event_vector
+        thread.ip = ready.event_vector
         return StepOutcome.ISSUED
     thread.pause("waiteu")
     thread.waiting_for_event = True
-    from repro.xs1.resources import TimerResource
-
     for resource in thread.event_resources:
         if isinstance(resource, TimerResource):
             resource.schedule_event_wake(core.sim)

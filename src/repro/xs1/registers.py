@@ -40,22 +40,27 @@ def s32(value: int) -> int:
 class RegisterFile:
     """A thread's register file: 12 GP + 4 special 32-bit registers."""
 
-    __slots__ = ("_regs",)
+    __slots__ = ("values",)
 
     def __init__(self) -> None:
-        self._regs = [0] * NUM_REGISTERS
+        #: The registers' values by index.  Instruction handlers index
+        #: this list directly (decoding traps any instruction whose
+        #: register operand lies outside the file) and wrap what they
+        #: store to 32 bits; other code goes through :meth:`read` and
+        #: :meth:`write`.
+        self.values = [0] * NUM_REGISTERS
 
     def read(self, index: int) -> int:
         """Read register ``index`` (always an unsigned 32-bit value)."""
         if not 0 <= index < NUM_REGISTERS:
             raise TrapError(f"invalid register index {index}")
-        return self._regs[index]
+        return self.values[index]
 
     def write(self, index: int, value: int) -> None:
         """Write ``value`` (wrapped to 32 bits) to register ``index``."""
         if not 0 <= index < NUM_REGISTERS:
             raise TrapError(f"invalid register index {index}")
-        self._regs[index] = value & _MASK32
+        self.values[index] = value & _MASK32
 
     def read_named(self, name: str) -> int:
         """Read a register by name, e.g. ``"r3"`` or ``"sp"``."""
@@ -67,4 +72,4 @@ class RegisterFile:
 
     def snapshot(self) -> dict[str, int]:
         """A name -> value mapping of the whole file (for debugging)."""
-        return {REGISTER_NAME[i]: self._regs[i] for i in range(NUM_REGISTERS)}
+        return {REGISTER_NAME[i]: self.values[i] for i in range(NUM_REGISTERS)}

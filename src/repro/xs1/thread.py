@@ -49,7 +49,9 @@ class HardwareThread:
         self.tid = tid
         self.name = name or f"{core.name}.t{tid}"
         self.state = ThreadState.RUNNABLE
-        self.regs = RegisterFile()
+        #: The register file as issued so far; a silent run on the core
+        #: issues its instructions lazily, so read :attr:`regs`.
+        self.registers = RegisterFile()
         #: The first cycle this thread may issue in, and the
         #: instructions it retired, as booked so far; a silent run on
         #: the core books its slots lazily, so read
@@ -70,6 +72,12 @@ class HardwareThread:
         #: Active causal span (:mod:`repro.obs.spans`); instructions this
         #: thread issues and tokens it sends are charged to it.
         self.span = None
+
+    @property
+    def regs(self) -> RegisterFile:
+        """The register file, up to the latest event."""
+        self.core.stats.settle()
+        return self.registers
 
     @property
     def next_issue_cycle(self) -> int:
@@ -133,6 +141,18 @@ class HardwareThread:
         """Consume one issue slot.  Implemented by subclasses."""
         raise NotImplementedError
 
+    def silent_budget(self) -> int:
+        """How many of its next issues the core may fire without a call
+        (see :class:`~repro.xs1.core.SilentRun`): the slots left in the
+        current ``Compute``, which only a behavioural thread has."""
+        return self.compute_left
+
+    def issue_fired(self, count: int, by_class: dict) -> None:
+        """Carry out ``count`` issues within :meth:`silent_budget` that
+        the core's silent run fired, booking each retired instruction
+        in ``by_class``.  Implemented by subclasses that have a budget."""
+        raise NotImplementedError
+
     # -- checkpointing (see repro.checkpoint) -------------------------------
 
     def snapshot_state(self) -> dict:
@@ -175,8 +195,16 @@ class IsaThread(HardwareThread):
     ):
         super().__init__(core, tid, name)
         self.program = program
-        self.pc = entry
+        #: The pc as issued so far; read :attr:`pc`.
+        self.ip = entry
         self._table = program.issue_table
+        self._quiet = program.quiet_bound
+
+    @property
+    def pc(self) -> int:
+        """Index of the next instruction to issue, up to the latest event."""
+        self.core.stats.settle()
+        return self.ip
 
     def take_event(self, vector: int | None) -> None:
         """Dispatch to the event vector: the next issue starts there."""
@@ -184,8 +212,26 @@ class IsaThread(HardwareThread):
             return
         if vector is None:
             raise TrapError(f"{self.name}: event fired with no vector set")
-        self.pc = vector
+        self.ip = vector
         super().take_event(vector)
+
+    def silent_budget(self) -> int:
+        """The quiet instructions this thread is sure to issue next
+        (:attr:`Program.quiet_bound <repro.xs1.assembler.Program.quiet_bound>`)."""
+        ip = self.ip
+        bound = self._quiet
+        return bound[ip] if 0 <= ip < len(bound) else 0
+
+    def issue_fired(self, count: int, by_class: dict) -> None:
+        """Issue ``count`` quiet instructions from the issue table, as
+        :meth:`step` would have in their slots."""
+        table = self._table
+        core = self.core
+        for _ in range(count):
+            handler, args, energy_class = table[self.ip]
+            handler(core, self, args)
+            by_class[energy_class] += 1
+        self.retired += count
 
     def snapshot_state(self) -> dict:
         """Scheduling state plus the architectural state: pc + registers."""
@@ -203,7 +249,7 @@ class IsaThread(HardwareThread):
         and :meth:`XCore.count_instruction` books it for the energy model.
         """
         table = self._table
-        pc = self.pc
+        pc = self.ip
         if not 0 <= pc < len(table):
             raise TrapError(
                 f"{self.name}: pc {pc} outside program "

@@ -19,6 +19,7 @@ from repro.xs1 import (
     XCore,
     assemble,
 )
+from repro.xs1.isa import EnergyClass
 
 
 class TestCompute:
@@ -89,7 +90,93 @@ class TestCompute:
         assert halts[core] == [1 + i + period * 202 for i in range(threads)]
 
 
+OUT_LOOP = """
+    ldc r0, {n}
+loop:
+    out r1, r0
+    subi r0, r0, 1
+    bt r0, loop
+    freet
+"""
+
+
+def _send_loop(tx, n: int):
+    """``OUT_LOOP`` as behavioural operations, one per instruction."""
+    yield Compute(1)                              # ldc
+    for word in range(n, 0, -1):
+        yield SendWord(tx, word)                  # out
+        yield Compute(1)                          # subi
+        yield Compute(1, EnergyClass.BRANCH)      # bt
+
+
+def _recv_loop(rx, n: int, gap: int, sink: list):
+    for _ in range(n):
+        yield Compute(gap)
+        sink.append((yield RecvWord(rx)))
+
+
+def _send_words(threads: int, isa: bool, n: int = 6) -> dict:
+    """``threads`` sender threads on one core, each streaming ``n`` words
+    to its own slow receiver on a second core, as ISA ``out`` loops or
+    as behavioural ``SendWord`` loops; returns what the run observed."""
+    sim = Simulator()
+    fabric = LoopbackFabric(sim)
+    sender = XCore(sim, node_id=0, fabric=fabric)
+    receiver = XCore(sim, node_id=1, fabric=fabric)
+    halts = []
+    sender.on_halt_callbacks.append(
+        lambda thread: halts.append((thread.name, sender.cycle)))
+    program = assemble(OUT_LOOP.format(n=n))
+    deliveries: list[list] = []
+    received: list[list] = []
+    for index in range(threads):
+        tx = sender.allocate_chanend()
+        rx = receiver.allocate_chanend()
+        tx.set_dest(rx.address)
+        deliveries.append([])
+        rx.on_deliver = lambda end, log=deliveries[-1]: log.append(
+            (sim.now, end.rx[-1].value))
+        if isa:
+            sender.spawn(program, regs={"r1": tx.address.encode()})
+        else:
+            BehavioralThread(sender, _send_loop(tx, n))
+        received.append([])
+        BehavioralThread(receiver, _recv_loop(rx, n, 10 + 2 * index, received[-1]))
+    sim.run()
+    return {
+        "slots": sender.stats.slots_issued,
+        "bubbles": sender.stats.slots_bubble,
+        "instructions": dict(sender.stats.instructions),
+        "halts": halts,
+        "pauses": [thread.pauses for thread in sender.threads],
+        "deliveries": deliveries,
+        "received": received,
+        "receiver": (receiver.stats.slots_issued, dict(receiver.stats.instructions)),
+        "end": sim.now,
+    }
+
+
 class TestCommunication:
+    @pytest.mark.parametrize("threads", range(1, 6))
+    def test_send_word_matches_out(self, threads):
+        """A ``SendWord`` loop issues like the ``out`` loop it mirrors:
+        the same slots, per-class instructions and token delivery times,
+        also while full transmit buffers pause the senders.
+
+        One pipeline effect differs, at the end: ISA ``freet`` retires
+        as a NOP in its slot, while a behavioural thread's halt (its
+        generator's ``StopIteration``) takes a slot that retires nothing.
+        So the slots and halt cycles agree and the ISA side has one NOP
+        more per thread.
+        """
+        isa = _send_words(threads, isa=True)
+        behavioral = _send_words(threads, isa=False)
+        assert isa["instructions"].pop(EnergyClass.NOP) == threads
+        assert isa == behavioral
+        assert isa["received"] == [[6, 5, 4, 3, 2, 1]] * threads
+        assert all(len(log) == 6 * 4 for log in isa["deliveries"])
+        assert any(isa["pauses"]), "no sender waited for buffer space"
+
     def test_word_roundtrip(self, sim, core):
         a = core.allocate_chanend()
         b = core.allocate_chanend()

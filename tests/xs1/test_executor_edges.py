@@ -147,6 +147,16 @@ class TestControlEdges:
         assert thread.instructions_executed == 1
         assert thread.regs.read_named("r0") == 7
 
+    def test_register_outside_the_file_traps_when_it_issues(self, sim, core):
+        from repro.xs1.isa import INSTRUCTION_SET, Instruction
+
+        program = assemble("ldc r0, 7\nnop\nfreet")
+        program.instructions[1] = Instruction(INSTRUCTION_SET["add"], (16, 0, 0))
+        thread = core.spawn(program)       # decoding the program does not trap
+        with pytest.raises(TrapError, match="invalid register index 16"):
+            sim.run()
+        assert thread.instructions_executed == 1
+
 
 class TestCliIsa:
     def test_isa_listing(self, capsys):

@@ -1,24 +1,29 @@
 """Differential tests of the core's silent firings.
 
-With fewer runnable threads than pipeline stages, :meth:`XCore._tick`
-arms the tick it schedules to fire silently through the bubble edges
-before the next issue, and with one behavioural thread in a ``Compute``
-through the op's remaining issue edges too (a silent run); every thread
-transition, frequency change and tracer attach disarms it.  Seeded
-one-slice workloads — ISA spin loops, behavioural ``Compute`` ops of a
-few to hundreds of slots and ``Sleep``, word send/receive on one core
-and across cores, a sleeper waking beside a long ``Compute``, frequency
-steps on and off clock edges, core kills and late spawns — run on the
-shipped core and on :class:`PerCycleCore`, a reference twin defined here
-that runs one ``_tick`` callback per clock edge and never arms.  The two
-must agree exactly: the kernel's event count, sequence counter and queue
+:meth:`XCore._tick` arms the tick it schedules to fire silently through
+the bubble edges before the next issue and, when its rotation is in
+round-robin steady state, through the issue edges each thread is sure of
+(quiet ISA instructions, ``Compute`` slots) up to the first that needs a
+call (a silent run); every thread transition, frequency change and
+tracer attach disarms it.  Seeded one-slice workloads run on the shipped
+core and on :class:`PerCycleCore`, a reference twin defined here that
+runs one ``_tick`` callback per clock edge and never arms: behavioural
+``Compute`` ops of a few to hundreds of slots and ``Sleep``, word
+send/receive on one core and across cores, a sleeper waking beside a
+long ``Compute``, and ISA rotations of one to eight threads whose loops
+run for different lengths, touch SRAM, read the clock, call subroutines
+and jump through registers, beside ``apps.kernels`` programs, behavioural
+``Compute`` threads and a thread woken by an ``in``; all under frequency
+steps on and off clock edges, core kills and late spawns.  The two must
+agree exactly: the kernel's event count, sequence counter and queue
 high-water mark, every core's instruction histogram and slot counters
-and every thread's counters (also read mid-run, directly and as metrics
-series), the delivered words, the energy ledger, per-span instruction
-counts, and the whole platform's ``snapshot_state()`` at random
-``run_until`` stops.  Traced runs also agree on the issue trace in
-execution order; untraced runs are the ones that take silent runs, and
-a tracer attached at a stop sees every issue from there on.
+and every thread's counters, pc and registers (also read mid-run,
+directly and as metrics series), the delivered words, the energy ledger,
+per-span instruction counts, and the whole platform's
+``snapshot_state()`` at random ``run_until`` stops.  Traced runs also
+agree on the issue trace in execution order; untraced runs are the ones
+that take silent runs, and a tracer attached at a stop sees every issue
+from there on.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ import random
 import pytest
 
 from repro import SwallowSystem, assemble
+from repro.apps import kernels
 from repro.sim import Frequency
-from repro.xs1 import XCore
+from repro.xs1 import TrapError, XCore
 from repro.xs1.behavioral import Compute, RecvWord, SendWord, Sleep
 from repro.xs1.isa import EnergyClass
-from repro.xs1.thread import HardwareThread, StepOutcome
+from repro.xs1.thread import HardwareThread, IsaThread, StepOutcome
 
 SPIN = """
     ldc r0, {n}
@@ -104,9 +110,119 @@ def _consumer(chanend, count: int, gaps: list[int], log: list[int]):
         log.append((yield RecvWord(chanend)))
 
 
+def _perturb(system, rng: random.Random, cores: list, horizon: int,
+             pick_program, shared) -> None:
+    """Frequency steps on and off clock edges, maybe a core kill, and
+    late spawns of ISA programs (``pick_program()``) or tasks."""
+    sim = system.sim
+    period = cores[0].frequency.period_ps
+
+    def moment() -> int:
+        return rng.randint(1, horizon)
+
+    for _ in range(rng.randint(0, 3)):        # frequency steps
+        core = rng.choice(cores)
+        mhz = rng.choice((100, 125, 250, 400, 500))
+        time = rng.randint(1, 900) * period   # on the initial clock's edges
+        if rng.random() < 0.5:
+            time += rng.randint(1, period - 1)
+        if rng.random() < 0.3:
+            # On the core's next edge, queued behind the tick there.
+            sim.schedule_at(time, lambda core=core, mhz=mhz: sim.schedule_at(
+                core._next_cycle_boundary(),
+                lambda: core.set_frequency(Frequency.mhz(mhz))))
+        else:
+            sim.schedule_at(time, lambda core=core, mhz=mhz:
+                            core.set_frequency(Frequency.mhz(mhz)))
+    if rng.random() < 0.3:                    # a core kill
+        sim.schedule_at(moment(), rng.choice(cores).fail)
+    for _ in range(rng.randint(0, 2)):        # late spawns
+        core = rng.choice(cores)
+        program = pick_program()
+        ops = _ops(rng)
+        isa = rng.random() < 0.5
+
+        def spawn(core=core, program=program, ops=ops, isa=isa) -> None:
+            if core.failed or core.live_threads >= core.config.max_threads:
+                return
+            if isa:
+                core.spawn(program)
+            else:
+                system.spawn_task(core, _task(ops), span=shared)
+
+        sim.schedule_at(moment(), spawn)
+
+
+def _observe(system, rng: random.Random, cores: list, horizon: int,
+             readers: list, recorder=None, traced: bool = True,
+             attach: bool = False) -> dict:
+    """Probe counters at random moments, stop three times to snapshot the
+    platform, run to the end, and return everything observed.
+
+    Each probe reads one counter of one kind of object, so every reader
+    is the first to touch a run somewhere, with nothing before it booking
+    the run on its behalf.
+    """
+    sim = system.sim
+    tracer = system.trace(kinds=("issue",)) if traced else None
+    probes: list = []
+
+    def probe(kind: str, name: str) -> None:
+        if kind == "metrics":
+            value = system.metrics_snapshot().series(name)
+        else:
+            threads = [thread for core in cores for thread in core.threads]
+            objects = {"core": [core.stats for core in cores],
+                       "span": recorder.spans if recorder is not None else [],
+                       "thread": threads,
+                       "isa": [each for each in threads
+                               if isinstance(each, IsaThread)]}[kind]
+            value = [getattr(each, name) for each in objects]
+            value = [each.snapshot() if name == "regs"
+                     else dict(each) if isinstance(each, dict) else each
+                     for each in value]
+        probes.append((kind, name, value))
+
+    for _ in range(rng.randint(4, 10)):
+        sim.schedule_at(rng.randint(1, horizon),
+                        lambda reader=rng.choice(readers): probe(*reader))
+
+    stops = []
+    attach_at = rng.randrange(3)
+    for index, stop in enumerate(sorted(rng.sample(range(1, horizon), 3))):
+        sim.run_until(stop)
+        probe(*rng.choice(readers))
+        stops.append(system.snapshot_state())
+        if attach and index == attach_at:
+            tracer = system.trace(kinds=("issue",))
+    sim.run()
+    return {
+        "issue_trace": list(tracer) if tracer is not None else None,
+        "kernel": (sim.events_processed, sim.snapshot_state()["seq"],
+                   sim.queue_depth_high_water),
+        "cores": [(dict(core.stats.instructions), core.stats.slots_issued,
+                   core.stats.slots_bubble) for core in system.cores],
+        "threads": [thread.snapshot_state()
+                    for core in system.cores for thread in core.threads],
+        "probes": probes,
+        "stops": stops,
+        "final": system.snapshot_state(),
+        "energy": system.energy_report(),
+        "spans": recorder.to_jsonl() if recorder is not None else None,
+    }
+
+
+#: Counters every workload probes: (kind of object, name).
+READERS = [("core", "slots_issued"), ("core", "slots_bubble"),
+           ("core", "instructions"), ("thread", "instructions_executed"),
+           ("thread", "next_issue_cycle"), ("metrics", "core.slots_issued"),
+           ("metrics", "core.slots_bubble"), ("metrics", "core.instructions")]
+
+
 def run_workload(seed: int, per_cycle: bool, traced: bool = True,
                  spans: bool = False, attach: bool = False) -> dict:
-    """Build and run seed ``seed``'s workload; returns what it observed.
+    """Build and run seed ``seed``'s behavioural workload (beside ISA spin
+    loops); returns what it observed.
 
     Every random draw happens while building, in the same order for both
     cores, so the two runs differ only in how edges are ticked.  With
@@ -120,10 +236,8 @@ def run_workload(seed: int, per_cycle: bool, traced: bool = True,
     if per_cycle:
         for core in system.cores:
             core.__class__ = PerCycleCore
-    tracer = system.trace(kinds=("issue",)) if traced else None
     recorder = system.spans() if spans else None
     shared = recorder.span("shared") if spans else None
-    sim = system.sim
     cores = rng.sample(system.cores, 4)
     period = cores[0].frequency.period_ps
     programs = {n: assemble(SPIN.format(n=n), name=f"spin{n}") for n in range(1, 26)}
@@ -158,97 +272,120 @@ def run_workload(seed: int, per_cycle: bool, traced: bool = True,
         task(b, _consumer(channel.b, len(words), recv_gaps, received[-1]))
 
     horizon = 1200 * period
+    _perturb(system, rng, cores, horizon,
+             lambda: programs[rng.randint(1, 25)], shared)
+    readers = READERS + ([("span", "instructions"), ("span", "instr_by_node")]
+                         if spans else [])
+    observed = _observe(system, rng, cores, horizon, readers, recorder,
+                        traced, attach)
+    observed["received"] = received
+    return observed
 
-    def moment() -> int:
-        return rng.randint(1, horizon)
 
-    for _ in range(rng.randint(0, 3)):        # frequency steps
-        core = rng.choice(cores)
-        mhz = rng.choice((100, 125, 250, 400, 500))
-        time = rng.randint(1, 900) * period   # on the initial clock's edges
+#: Register-only loop-body instructions (quiet), and ones that touch
+#: SRAM or read the clock (they end a silent run).
+QUIET_OPS = ("add r1, r1, r0", "mul r2, r1, r0", "xor r3, r3, r2",
+             "shli r4, r0, 3", "mov r5, r1", "nop", "eqi r6, r0, 3",
+             "bitrev r7, r1", "ldaw r8, r1, 2", "lsu r6, r1, r0", "clz r7, r3")
+LOUD_OPS = ("stw r1, r9, 0", "ldw r2, r9, 0", "ldw r3, r9, 1", "gettime r10")
+
+RECEIVER = """
+    ldc r2, {words}
+recv:
+    in r1, r0
+    add r3, r3, r1
+    subi r2, r2, 1
+    bt r2, recv
+    freet
+"""
+
+
+def _isa_program(rng: random.Random, index: int):
+    """A loop of 1-30 turns over up to four quiet instructions; some
+    loops also touch SRAM or read the clock, call a subroutine (``bl``/
+    ``ret``) or jump through a register (``bru``)."""
+    body = [rng.choice(QUIET_OPS) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.3:
+        body.insert(rng.randint(0, len(body)), rng.choice(LOUD_OPS))
+    if rng.random() < 0.25:
+        body.append("bl sub")
+    if rng.random() < 0.2:
+        after = 2 + len(body) + 2             # the subi below the bru
+        body += [f"ldc r5, {after}", "bru r5"]
+    source = "\n".join([
+        f"ldc r0, {rng.randint(1, 30)}",
+        f"ldc r9, {0x8000 + 8 * index}",
+        "loop:", *body,
+        "subi r0, r0, 1", "bt r0, loop", "freet",
+        "sub:", "addi r11, r11, 1", "ret",
+    ])
+    return assemble(source, name=f"loop{index}")
+
+
+def run_isa_workload(seed: int, threads: int, per_cycle: bool,
+                     traced: bool = False, attach: bool = False) -> dict:
+    """Build and run seed ``seed``'s ISA workload; returns what it observed.
+
+    The first core runs ``threads`` ISA threads (a rotation of up to
+    eight): loops of different lengths, and receivers that block on
+    ``in`` until a producer elsewhere sends, perhaps beside a
+    behavioural thread that computes and sleeps; three more cores run a
+    few loops, an ``apps.kernels`` program or behavioural tasks.  Probes
+    also read ISA threads' ``pc`` and ``regs``.
+    """
+    rng = random.Random(seed)
+    system = SwallowSystem()
+    if per_cycle:
+        for core in system.cores:
+            core.__class__ = PerCycleCore
+    cores = rng.sample(system.cores, 4)
+    period = cores[0].frequency.period_ps
+    made = []
+
+    def program():
+        made.append(_isa_program(rng, len(made)))
+        return made[-1]
+
+    suite = [kernels.memcpy_words(6), kernels.dot_product(5),
+             kernels.checksum32(4), kernels.bubble_sort(5),
+             kernels.matrix_multiply(2), kernels.fibonacci(8)]
+    for core in cores[1:]:
+        for _ in range(rng.randint(0, 3)):
+            core.spawn(program())
         if rng.random() < 0.5:
-            time += rng.randint(1, period - 1)
-        if rng.random() < 0.3:
-            # On the core's next edge, queued behind the tick there.
-            sim.schedule_at(time, lambda core=core, mhz=mhz: sim.schedule_at(
-                core._next_cycle_boundary(),
-                lambda: core.set_frequency(Frequency.mhz(mhz))))
+            kernel = rng.choice(suite)
+            words = 4 if kernel.name == "matmul" else 8
+            kernel.load_inputs(core, [rng.getrandbits(32) for _ in range(words)],
+                               [rng.getrandbits(32) for _ in range(words)])
+            core.spawn(kernel.program)
+        if rng.random() < 0.5:
+            system.spawn_task(core, _task(_ops(rng)))
+    main = cores[0]
+    for _ in range(threads):
+        senders = [core for core in cores[1:] if core.live_threads < 8]
+        if senders and rng.random() < 0.3:
+            # A thread that blocks on ``in`` beside the spinning ones; a
+            # behavioural producer elsewhere wakes it once per word.
+            channel = system.channel(rng.choice(senders), main)
+            words = [rng.getrandbits(32) for _ in range(rng.randint(1, 3))]
+            gaps = [rng.randint(0, 120) for _ in words]
+            main.spawn(assemble(RECEIVER.format(words=len(words)), name="receiver"),
+                       regs={"r0": channel.b.address.encode()})
+            system.spawn_task(channel.a.core, _producer(channel.a, words, gaps))
         else:
-            sim.schedule_at(time, lambda core=core, mhz=mhz:
-                            core.set_frequency(Frequency.mhz(mhz)))
-    if rng.random() < 0.3:                    # a core kill
-        sim.schedule_at(moment(), rng.choice(cores).fail)
-    for _ in range(rng.randint(0, 2)):        # late spawns
-        core = rng.choice(cores)
-        program = programs[rng.randint(1, 25)]
-        ops = _ops(rng)
-        isa = rng.random() < 0.5
+            main.spawn(program())
+    if threads < 8 and rng.random() < 0.6:    # a mixed rotation that sleeps
+        system.spawn_task(main, _task(_ops(rng)))
 
-        def spawn(core=core, program=program, ops=ops, isa=isa) -> None:
-            if core.failed or core.live_threads >= core.config.max_threads:
-                return
-            if isa:
-                core.spawn(program)
-            else:
-                system.spawn_task(core, _task(ops), span=shared)
-
-        sim.schedule_at(moment(), spawn)
-    probes: list = []
-    # Each probe reads one counter of one kind of object, so every
-    # reader is the first to touch a run somewhere, with nothing before
-    # it booking the run on its behalf.
-    readers = [("core", "slots_issued"), ("core", "slots_bubble"),
-               ("core", "instructions"), ("thread", "instructions_executed"),
-               ("thread", "next_issue_cycle"), ("metrics", "core.slots_issued"),
-               ("metrics", "core.slots_bubble"), ("metrics", "core.instructions")]
-    if spans:
-        readers += [("span", "instructions"), ("span", "instr_by_node")]
-
-    def probe(kind: str, name: str) -> None:
-        if kind == "metrics":
-            value = system.metrics_snapshot().series(name)
-        else:
-            objects = {"core": [core.stats for core in cores],
-                       "span": recorder.spans if spans else [],
-                       "thread": [thread for core in cores
-                                  for thread in core.threads]}[kind]
-            value = [getattr(each, name) for each in objects]
-            value = [dict(each) if isinstance(each, dict) else each
-                     for each in value]
-        probes.append((kind, name, value))
-
-    for _ in range(rng.randint(4, 10)):
-        sim.schedule_at(moment(), lambda reader=rng.choice(readers): probe(*reader))
-
-    stops = []
-    attach_at = rng.randrange(3)
-    for index, stop in enumerate(sorted(rng.sample(range(1, horizon), 3))):
-        sim.run_until(stop)
-        probe(*rng.choice(readers))
-        stops.append(system.snapshot_state())
-        if attach and index == attach_at:
-            tracer = system.trace(kinds=("issue",))
-    sim.run()
-    return {
-        "issue_trace": list(tracer) if tracer is not None else None,
-        "kernel": (sim.events_processed, sim.snapshot_state()["seq"],
-                   sim.queue_depth_high_water),
-        "cores": [(dict(core.stats.instructions), core.stats.slots_issued,
-                   core.stats.slots_bubble) for core in system.cores],
-        "threads": [thread.snapshot_state()
-                    for core in system.cores for thread in core.threads],
-        "received": received,
-        "probes": probes,
-        "stops": stops,
-        "final": system.snapshot_state(),
-        "energy": system.energy_report(),
-        "spans": recorder.to_jsonl() if spans else None,
-    }
+    horizon = 1200 * period
+    _perturb(system, rng, cores, horizon, program, None)
+    readers = READERS + [("isa", "pc"), ("isa", "regs")]
+    return _observe(system, rng, cores, horizon, readers, None, traced, attach)
 
 
-def _assert_same(seed: int, **mode) -> dict:
-    shipped = run_workload(seed, per_cycle=False, **mode)
-    reference = run_workload(seed, per_cycle=True, **mode)
+def _assert_same(seed: int, workload=run_workload, **mode) -> dict:
+    shipped = workload(seed, per_cycle=False, **mode)
+    reference = workload(seed, per_cycle=True, **mode)
     for key, expected in reference.items():
         assert shipped[key] == expected, key
     return shipped
@@ -281,8 +418,7 @@ def test_tracer_attached_mid_run_sees_every_issue(seed):
     _assert_same(seed, traced=False, attach=True)
 
 
-def test_single_thread_core_fires_bubbles_silently(monkeypatch):
-    """One spinning thread: 3 bubbles per issue, one callback per issue."""
+def _count_ticks(monkeypatch) -> list:
     calls = []
     tick = XCore._tick
 
@@ -291,6 +427,68 @@ def test_single_thread_core_fires_bubbles_silently(monkeypatch):
         tick(core)
 
     monkeypatch.setattr(XCore, "_tick", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_isa_rotations_match_per_cycle_ticking(seed, monkeypatch):
+    """Untraced: ISA rotations of 1-8 threads fire their quiet runs."""
+    calls = _count_ticks(monkeypatch)
+    shipped = _assert_same(seed, run_isa_workload, threads=1 + seed % 8)
+    issued = sum(slots for _, slots, _ in shipped["cores"])
+    assert len(calls) < issued, "no issue fired silently"
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_isa_rotations_traced_match_per_cycle_ticking(seed):
+    shipped = _assert_same(seed, run_isa_workload, threads=1 + seed % 8,
+                           traced=True)
+    assert shipped["issue_trace"], "the workload issued nothing"
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_tracer_attached_mid_isa_run_sees_every_issue(seed):
+    _assert_same(seed, run_isa_workload, threads=8 - seed % 8, attach=True)
+
+
+DIVIDE = """
+    ldc r0, {n}
+loop:
+    subi r0, r0, 1
+    bt r0, loop
+    divu r1, r2, r0
+    freet
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4, 5, 8])
+def test_divide_by_zero_after_a_quiet_run_traps_alike(threads):
+    """The ``divu`` after each loop traps at the same time, in the same
+    thread and state, as on the per-cycle twin."""
+
+    def run(per_cycle: bool) -> tuple:
+        system = SwallowSystem()
+        core = system.core(0)
+        if per_cycle:
+            core.__class__ = PerCycleCore
+        for index in range(threads):
+            core.spawn(assemble(DIVIDE.format(n=5 + 3 * index)))
+        with pytest.raises(TrapError) as trap:
+            system.run()
+        return (str(trap.value), system.sim.now, system.snapshot_state())
+
+    shipped, reference = run(False), run(True)
+    assert shipped == reference
+    assert "division by zero" in shipped[0]
+
+
+def test_single_thread_core_fires_bubbles_silently(monkeypatch):
+    """One spinning thread: 3 bubbles per issue, one callback per loop
+    turn.  The quiet bound from ``subi`` covers it and the ``bt`` but
+    stops there (the ``bt`` may fall through to ``freet``), so each
+    turn's ``subi`` but the first takes a call, and so do the ``ldc``
+    and the ``freet``: 1 + 99 + 1."""
+    calls = _count_ticks(monkeypatch)
     system = SwallowSystem()
     core = system.core(0)
     core.spawn(assemble(SPIN.format(n=100)))
@@ -299,19 +497,32 @@ def test_single_thread_core_fires_bubbles_silently(monkeypatch):
     assert issued == 202
     assert core.stats.slots_bubble == 3 * (issued - 1)
     assert system.sim.events_processed == issued + core.stats.slots_bubble
-    assert len(calls) == issued
+    assert len(calls) == 101
+
+
+def test_four_thread_core_fires_its_rotation_silently(monkeypatch):
+    """Four spinning threads issue every cycle, and each call arms a
+    run over the whole rotation.  The first thread's ``ldc`` takes a
+    call, and the run it arms carries the other ``ldc`` and every
+    thread's first loop turn; from then on each call issues the first
+    thread's ``subi`` and arms a run over the other seven issues of that
+    turn (99 calls), and each ``freet`` takes one: 1 + 99 + 4."""
+    calls = _count_ticks(monkeypatch)
+    system = SwallowSystem()
+    core = system.core(0)
+    for _ in range(4):
+        core.spawn(assemble(SPIN.format(n=100)))
+    system.run()
+    issued = core.stats.slots_issued
+    assert issued == 4 * 202
+    assert core.stats.slots_bubble == 0
+    assert system.sim.events_processed == issued
+    assert len(calls) == 104
 
 
 def test_lone_compute_fires_its_slots_silently(monkeypatch):
     """One ``Compute(100)``: the first slot and the halt are the only calls."""
-    calls = []
-    tick = XCore._tick
-
-    def counted(core: XCore) -> None:
-        calls.append(core.sim.now)
-        tick(core)
-
-    monkeypatch.setattr(XCore, "_tick", counted)
+    calls = _count_ticks(monkeypatch)
     system = SwallowSystem()
     core = system.core(0)
     thread = system.spawn_task(core, _task([Compute(100)]))
