@@ -24,23 +24,13 @@ from repro.network.token import CT_END, control_token, word_to_tokens
 from repro.network.topology import SLICE_PACKAGES_X, SwallowTopology
 from repro.sim import PS_PER_S
 from repro.xs1.chanend import Chanend
+from repro.xs1.errors import ResourceError
 
 #: Full-duplex data rate of one bridge (paper: 80 Mbit/s).
 ETHERNET_BITRATE = 80_000_000
 
 #: Bridges a slice can host (paper: two, on the south links).
 BRIDGES_PER_SLICE = 2
-
-
-class _BridgeNodeShim:
-    """Duck-typed stand-in for :class:`~repro.xs1.core.XCore` so the
-    bridge can own ordinary channel ends."""
-
-    def __init__(self, sim, node_id, fabric):
-        self.sim = sim
-        self.node_id = node_id
-        self.fabric = fabric
-        self.name = f"ethbridge{node_id}"
 
 
 @dataclass
@@ -57,19 +47,22 @@ class EthernetBridge:
 
     Use :meth:`attach` to create one.  ``host_receive`` drains words the
     network sent to the bridge; :meth:`host_send_words` streams words into
-    the machine at the Ethernet rate.
+    the machine at the Ethernet rate.  The bridge owns its node's eight
+    channel ends, all allocated, and stands where a core would: it is
+    their ``core`` (it runs no threads) and the fabric's owner of the node.
     """
 
     def __init__(self, topology: SwallowTopology, node_id: int, column: int):
         self.topology = topology
         self.sim = topology.sim
+        self.fabric = topology.fabric
         self.node_id = node_id
         self.column = column
-        self._shim = _BridgeNodeShim(self.sim, node_id, topology.fabric)
-        self._chanends = [Chanend(self._shim, i) for i in range(8)]
+        self.name = f"ethbridge{node_id}"
+        self._chanends = [Chanend(self, i) for i in range(8)]
         for chanend in self._chanends:
             chanend.allocated = True
-            topology.fabric.attach_chanend(chanend)
+        self.fabric.attach_owner(self)
         self._host_queue: deque[ReceivedWord] = deque()
         self._egress_busy_until = 0
         self._ingress_busy_until = 0
@@ -104,9 +97,15 @@ class EthernetBridge:
 
     # -- network-facing addresses ---------------------------------------------
 
+    def chanend(self, index: int) -> Chanend:
+        """The bridge's channel end ``index``."""
+        if not 0 <= index < len(self._chanends):
+            raise ResourceError(f"{self.name}: no chanend {index}")
+        return self._chanends[index]
+
     def endpoint(self, index: int = 0) -> ChanendAddress:
         """Address programs should ``setd`` to reach the host."""
-        return self._chanends[index].address
+        return self.chanend(index).address
 
     # -- egress: network -> host -------------------------------------------------
 
@@ -156,7 +155,7 @@ class EthernetBridge:
         Returns the simulation time (ps) at which the last word enters
         the network side of the bridge.
         """
-        chanend = self._chanends[source_index]
+        chanend = self.chanend(source_index)
         word_time = round(PS_PER_S / ETHERNET_BITRATE * 32)
         start = max(self.sim.now, self._ingress_busy_until)
         at = start

@@ -17,11 +17,13 @@ from repro.network.params import LinkSpec
 from repro.network.routing import Direction, NodeCoord, RoutingError, next_direction
 from repro.network.switch import Switch
 from repro.sim import Frequency, Simulator
+from repro.xs1.fabric import resolve_chanend
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.netscope import NetScope
     from repro.xs1.chanend import Chanend
+    from repro.xs1.fabric import ChanendOwner
 
 #: A routing policy maps (current coordinate, destination coordinate) to
 #: the next direction; the default is the paper's vertical-first order.
@@ -62,7 +64,8 @@ class SwallowFabric:
         self.switches: dict[int, Switch] = {}
         self.coords: dict[int, NodeCoord] = {}
         self.links: list[HalfLink] = []
-        self._chanends: dict[ChanendAddress, "Chanend"] = {}
+        #: Node -> the owner of its channel ends (its core or bridge).
+        self._owners: dict[int, "ChanendOwner"] = {}
         self._rx_blocked: dict[ChanendAddress, list] = {}
         #: Leaf nodes (e.g. Ethernet bridges) hang off one anchor node and
         #: take no transit traffic: node -> (anchor, from-anchor direction,
@@ -309,14 +312,14 @@ class SwallowFabric:
     # Fabric protocol (what cores call)
     # ------------------------------------------------------------------
 
-    def attach_chanend(self, chanend: "Chanend") -> None:
-        """Register a channel end as addressable on its node."""
-        if chanend.address.node not in self.switches:
+    def attach_owner(self, owner: "ChanendOwner") -> None:
+        """Make ``owner``'s channel ends addressable on its node."""
+        if owner.node_id not in self.switches:
             raise RoutingError(
-                f"chanend {chanend.address}: node not in fabric "
+                f"node {owner.node_id} not in fabric "
                 "(add_node before creating the core)"
             )
-        self._chanends[chanend.address] = chanend
+        self._owners[owner.node_id] = owner
 
     def notify_tx(self, chanend: "Chanend") -> None:
         """A chanend queued tokens; wake its switch port."""
@@ -335,8 +338,9 @@ class SwallowFabric:
     # ------------------------------------------------------------------
 
     def local_chanend(self, address: ChanendAddress) -> "Chanend":
-        """The chanend object for a local delivery."""
-        chanend = self._chanends.get(address)
+        """The chanend object for a local delivery (its owner makes it
+        on first use)."""
+        chanend = resolve_chanend(self._owners, address)
         if chanend is None:
             raise RoutingError(f"no chanend at {address}")
         return chanend

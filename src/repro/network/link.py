@@ -269,18 +269,19 @@ class HalfLink:
         verify_state(self.snapshot_state(), state, self.name)
 
     def register_metrics(self, registry: "MetricsRegistry") -> None:
-        """Publish this half-link's traffic series (lazily collected).
+        """Publish this half-link's traffic series (one lazy collector).
 
         Series: ``link.tokens{link=...}``, ``link.bits{link=...}`` and
         ``link.utilization{link=...}`` (fraction of elapsed sim time
         spent serializing).
         """
+        registry.register_collector(self._collect_metrics)
+
+    def _collect_metrics(self, emit) -> None:
         labels = {"link": self.name}
-        registry.counter_fn("link.tokens",
-                            lambda: self.tokens_carried, **labels)
-        registry.counter_fn("link.bits", lambda: self.bits_carried, **labels)
-        registry.gauge_fn("link.utilization",
-                          lambda: self.utilization(self.sim.now), **labels)
+        emit("link.tokens", labels, self.tokens_carried)
+        emit("link.bits", labels, self.bits_carried)
+        emit("link.utilization", labels, self.utilization(self.sim.now))
 
     def __repr__(self) -> str:
         return f"<HalfLink {self.name} {self.spec.name} {'busy' if self.busy else 'idle'}>"

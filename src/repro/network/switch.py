@@ -538,7 +538,8 @@ class Switch:
     def register_metrics(self, registry: "MetricsRegistry") -> None:
         """Publish this switch's routing/traffic series.
 
-        Lazy series: ``switch.tokens_forwarded{node=...}``,
+        Lazy series, read by one collector per switch:
+        ``switch.tokens_forwarded{node=...}``,
         ``switch.tokens_delivered``, ``switch.routes_opened``,
         ``switch.routes_closed``, the ``switch.routes_open`` gauge, and
         per-port fault attribution (``switch.port_routes_opened``,
@@ -547,43 +548,34 @@ class Switch:
         eager ``switch.route_hold_ps`` histogram — per switch here, per
         direction lazily via :meth:`direction_hold_hist`.
         """
-        labels = {"node": str(self.node_id)}
-        registry.counter_fn("switch.tokens_forwarded",
-                            lambda: self.tokens_forwarded, **labels)
-        registry.counter_fn("switch.tokens_delivered",
-                            lambda: self.tokens_delivered, **labels)
-        registry.counter_fn("switch.routes_opened",
-                            lambda: self.routes_opened, **labels)
-        registry.counter_fn("switch.routes_closed",
-                            lambda: self.routes_closed, **labels)
-        registry.counter_fn("switch.routes_severed",
-                            lambda: self.routes_severed, **labels)
-        registry.counter_fn("switch.tokens_discarded",
-                            lambda: self.tokens_discarded, **labels)
-        registry.gauge_fn("switch.routes_open",
-                          lambda: self.routes_open, **labels)
         self.route_hold_hist = registry.histogram(
-            "switch.route_hold_ps", **labels
+            "switch.route_hold_ps", node=str(self.node_id)
         )
         self._registry = registry
+        registry.register_collector(self._collect_metrics)
 
-        def _collect_ports(emit) -> None:
-            ports = [*self.link_ports,
-                     *(self.chanend_ports[i]
-                       for i in sorted(self.chanend_ports))]
-            for port in ports:
-                port_labels = {**labels, "port": port.name}
-                if port.routes_opened:
-                    emit("switch.port_routes_opened", port_labels,
-                         port.routes_opened)
-                if port.routes_severed:
-                    emit("switch.port_routes_severed", port_labels,
-                         port.routes_severed)
-                if port.tokens_discarded:
-                    emit("switch.port_tokens_discarded", port_labels,
-                         port.tokens_discarded)
-
-        registry.register_collector(_collect_ports)
+    def _collect_metrics(self, emit) -> None:
+        labels = {"node": str(self.node_id)}
+        emit("switch.tokens_forwarded", labels, self.tokens_forwarded)
+        emit("switch.tokens_delivered", labels, self.tokens_delivered)
+        emit("switch.routes_opened", labels, self.routes_opened)
+        emit("switch.routes_closed", labels, self.routes_closed)
+        emit("switch.routes_severed", labels, self.routes_severed)
+        emit("switch.tokens_discarded", labels, self.tokens_discarded)
+        emit("switch.routes_open", labels, self.routes_open)
+        ports = [*self.link_ports,
+                 *(self.chanend_ports[i] for i in sorted(self.chanend_ports))]
+        for port in ports:
+            port_labels = {**labels, "port": port.name}
+            if port.routes_opened:
+                emit("switch.port_routes_opened", port_labels,
+                     port.routes_opened)
+            if port.routes_severed:
+                emit("switch.port_routes_severed", port_labels,
+                     port.routes_severed)
+            if port.tokens_discarded:
+                emit("switch.port_tokens_discarded", port_labels,
+                     port.tokens_discarded)
 
     def __repr__(self) -> str:
         return f"<Switch {self.name} at {self.coord}>"

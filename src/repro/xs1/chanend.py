@@ -117,7 +117,7 @@ class Chanend:
             raise ResourceError(f"{self.address}: send before setd")
         if len(tokens) > self.tx_space():
             raise ResourceError(f"{self.address}: transmit buffer overflow")
-        # getattr: bridge shims pose as cores but run no threads.
+        # getattr: an Ethernet bridge stands in for a core but runs no threads.
         thread = getattr(self.core, "current_thread", None)
         if thread is not None and thread.span is not None:
             span = thread.span

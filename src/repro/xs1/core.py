@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from math import inf
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.network.header import CHANEND_TYPE, ChanendAddress
 from repro.sim import EventHandle, Frequency, Simulator
@@ -53,6 +53,14 @@ class CoreConfig:
 # ``min`` over the rotation runs in C) and the pipeline depth.
 _ready = attrgetter("ready_cycle")
 _DEPTH = HardwareThread.PIPELINE_DEPTH
+
+
+def _lowest_free(pool: list) -> int | None:
+    """The lowest pool index whose resource is free (or not made yet)."""
+    for index, resource in enumerate(pool):
+        if resource is None or not resource.allocated:
+            return index
+    return None
 
 
 @dataclass
@@ -221,11 +229,12 @@ class XCore:
         self.name = name or f"core{node_id}"
         self.memory = Sram(self.config.sram_bytes)
         self.threads: list[HardwareThread] = []
-        self._chanends = [Chanend(self, i) for i in range(self.config.num_chanends)]
-        self._timers = [TimerResource(i) for i in range(self.config.num_timers)]
-        self._locks = [LockResource(i) for i in range(self.config.num_locks)]
-        for chanend in self._chanends:
-            fabric.attach_chanend(chanend)
+        # Resource pools: a slot holds None until its resource is first
+        # used, so a build allocates only what a run touches.
+        self._chanends: list[Chanend | None] = [None] * self.config.num_chanends
+        self._timers: list[TimerResource | None] = [None] * self.config.num_timers
+        self._locks: list[LockResource | None] = [None] * self.config.num_locks
+        fabric.attach_owner(self)
         self.stats = CoreStats()
         self._rotation: deque[HardwareThread] = deque()
         self._ticking = False
@@ -569,40 +578,37 @@ class XCore:
     # ------------------------------------------------------------------
 
     def chanend(self, index: int) -> Chanend:
-        """The channel end with local index ``index`` (host-side lookup)."""
-        try:
-            return self._chanends[index]
-        except IndexError:
-            raise ResourceError(f"{self.name}: no chanend {index}") from None
-
-    def chanends(self) -> Iterable[Chanend]:
-        """All channel ends (allocated or not)."""
-        return iter(self._chanends)
+        """The channel end with local index ``index`` (host-side lookup,
+        made on first use)."""
+        if not 0 <= index < len(self._chanends):
+            raise ResourceError(f"{self.name}: no chanend {index}")
+        return self._chanend_at(index)
 
     def allocate_chanend(self) -> Chanend:
         """Claim a free channel end (host-level helper and ``getr`` backend)."""
-        for chanend in self._chanends:
-            if not chanend.allocated:
-                chanend.allocated = True
-                return chanend
-        raise ResourceError(f"{self.name}: out of channel ends")
+        index = _lowest_free(self._chanends)
+        if index is None:
+            raise ResourceError(f"{self.name}: out of channel ends")
+        chanend = self._chanend_at(index)
+        chanend.allocated = True
+        return chanend
 
     def allocate_resource(self, res_type: int) -> int:
         """``getr``: claim a resource, returning its 32-bit identifier."""
         if res_type == RES_TYPE_CHANEND:
             return self.allocate_chanend().address.encode()
         if res_type == RES_TYPE_TIMER:
-            for timer in self._timers:
-                if not timer.allocated:
-                    timer.allocated = True
-                    return self._encode_resource(timer.index, RES_TYPE_TIMER)
-            raise ResourceError(f"{self.name}: out of timers")
+            index = _lowest_free(self._timers)
+            if index is None:
+                raise ResourceError(f"{self.name}: out of timers")
+            self._timer_at(index).allocated = True
+            return self._encode_resource(index, RES_TYPE_TIMER)
         if res_type == RES_TYPE_LOCK:
-            for lock in self._locks:
-                if not lock.allocated:
-                    lock.allocated = True
-                    return self._encode_resource(lock.index, RES_TYPE_LOCK)
-            raise ResourceError(f"{self.name}: out of locks")
+            index = _lowest_free(self._locks)
+            if index is None:
+                raise ResourceError(f"{self.name}: out of locks")
+            self._lock_at(index).allocated = True
+            return self._encode_resource(index, RES_TYPE_LOCK)
         raise TrapError(f"{self.name}: getr of unsupported resource type {res_type}")
 
     def free_resource(self, resource_id: int) -> None:
@@ -627,25 +633,35 @@ class XCore:
         return (self.node_id << 16) | (index << 8) | res_type
 
     # An instruction operand names a resource by an 8-bit index; one
-    # outside the pool traps, as an unallocated one does.
+    # outside the pool traps, as an unallocated one does.  A slot's
+    # resource is made the first time it is named.
 
     def _chanend_at(self, index: int) -> Chanend:
         try:
-            return self._chanends[index]
+            chanend = self._chanends[index]
         except IndexError:
             raise TrapError(f"{self.name}: no chanend {index}") from None
+        if chanend is None:
+            chanend = self._chanends[index] = Chanend(self, index)
+        return chanend
 
     def _timer_at(self, index: int) -> TimerResource:
         try:
-            return self._timers[index]
+            timer = self._timers[index]
         except IndexError:
             raise TrapError(f"{self.name}: no timer {index}") from None
+        if timer is None:
+            timer = self._timers[index] = TimerResource(index)
+        return timer
 
     def _lock_at(self, index: int) -> LockResource:
         try:
-            return self._locks[index]
+            lock = self._locks[index]
         except IndexError:
             raise TrapError(f"{self.name}: no lock {index}") from None
+        if lock is None:
+            lock = self._locks[index] = LockResource(index)
+        return lock
 
     def check_timer(self, resource_id: int, thread: HardwareThread) -> TimerResource:
         """Validate a timer resource id for ``in``; returns the timer."""
@@ -708,8 +724,8 @@ class XCore:
             "chanends": {
                 str(ce.index): ce.snapshot_state()
                 for ce in self._chanends
-                if ce.allocated or ce.rx or ce.tx
-                or ce.tokens_sent or ce.tokens_received
+                if ce is not None and (ce.allocated or ce.rx or ce.tx
+                                       or ce.tokens_sent or ce.tokens_received)
             },
         }
 
@@ -728,26 +744,25 @@ class XCore:
         gauges (``core.active_threads``, ``core.live_threads``) and the
         blocking counter ``core.thread_pauses``.
         """
+        registry.register_collector(self._collect_metrics)
+
+    def _collect_metrics(self, emit) -> None:
         node = str(self.node_id)
-
-        def _collect(emit) -> None:
-            labels = {"node": node}
-            for energy_class in sorted(self.stats.instructions,
-                                       key=lambda c: c.value):
-                emit(
-                    "core.instructions",
-                    {"node": node, "opcode_class": energy_class.value},
-                    self.stats.instructions[energy_class],
-                )
-            emit("core.slots_issued", labels, self.stats.slots_issued)
-            emit("core.slots_bubble", labels, self.stats.slots_bubble)
-            emit("core.active_threads", labels, self.active_threads)
-            emit("core.live_threads", labels, self.live_threads)
-            emit("core.thread_pauses", labels,
-                 sum(thread.pauses for thread in self.threads))
-            emit("core.frequency_hz", labels, self._frequency.hz)
-
-        registry.register_collector(_collect)
+        labels = {"node": node}
+        for energy_class in sorted(self.stats.instructions,
+                                   key=lambda c: c.value):
+            emit(
+                "core.instructions",
+                {"node": node, "opcode_class": energy_class.value},
+                self.stats.instructions[energy_class],
+            )
+        emit("core.slots_issued", labels, self.stats.slots_issued)
+        emit("core.slots_bubble", labels, self.stats.slots_bubble)
+        emit("core.active_threads", labels, self.active_threads)
+        emit("core.live_threads", labels, self.live_threads)
+        emit("core.thread_pauses", labels,
+             sum(thread.pauses for thread in self.threads))
+        emit("core.frequency_hz", labels, self._frequency.hz)
 
     def __repr__(self) -> str:
         return (

@@ -25,11 +25,20 @@ if TYPE_CHECKING:
     from repro.xs1.chanend import Chanend
 
 
+class ChanendOwner(Protocol):
+    """What holds a node's channel ends: its core, or an Ethernet bridge."""
+
+    node_id: int
+
+    def chanend(self, index: int) -> "Chanend":
+        """Channel end ``index``; :class:`ResourceError` outside the pool."""
+
+
 class Fabric(Protocol):
     """What a core requires of its interconnect."""
 
-    def attach_chanend(self, chanend: "Chanend") -> None:
-        """Register a channel end so it is addressable."""
+    def attach_owner(self, owner: ChanendOwner) -> None:
+        """Make ``owner``'s channel ends addressable on its node."""
 
     def notify_tx(self, chanend: "Chanend") -> None:
         """``chanend`` has tokens queued for transmission."""
@@ -38,12 +47,31 @@ class Fabric(Protocol):
         """``chanend`` freed receive-buffer space (backpressure release)."""
 
 
+def resolve_chanend(
+    owners: dict[int, ChanendOwner], address: ChanendAddress
+) -> "Chanend | None":
+    """The channel end at ``address``, through the owner of its node.
+
+    None when no owner holds the node or the index is outside its pool.
+    The owner makes a channel end nothing has touched yet, so a token
+    sent there still lands in its receive buffer.
+    """
+    owner = owners.get(address.node)
+    if owner is None:
+        return None
+    try:
+        return owner.chanend(address.index)
+    except ResourceError:
+        return None
+
+
 class LoopbackFabric:
     """Direct chanend-to-chanend delivery with a fixed per-token latency.
 
     Models only the core-local path: one token moves from a transmit
     buffer to the destination's receive buffer every ``cycles_per_token``
-    cycles of ``frequency``.  Destinations must be attached locally.
+    cycles of ``frequency``.  Destinations must be on cores built against
+    this fabric.
     """
 
     def __init__(
@@ -55,15 +83,15 @@ class LoopbackFabric:
         self.sim = sim
         self.frequency = frequency or Frequency(500_000_000)
         self.cycles_per_token = cycles_per_token
-        self._chanends: dict[ChanendAddress, "Chanend"] = {}
+        self._owners: dict[int, ChanendOwner] = {}
         self._active: deque["Chanend"] = deque()
         self._blocked: list["Chanend"] = []
         self._draining = False
         self.tokens_moved = 0
 
-    def attach_chanend(self, chanend: "Chanend") -> None:
-        """Register a channel end for local delivery."""
-        self._chanends[chanend.address] = chanend
+    def attach_owner(self, owner: ChanendOwner) -> None:
+        """Make ``owner``'s channel ends destinations for local delivery."""
+        self._owners[owner.node_id] = owner
 
     def notify_tx(self, chanend: "Chanend") -> None:
         """Queue the chanend for draining."""
@@ -96,7 +124,7 @@ class LoopbackFabric:
                 continue
             if src.dest is None:
                 raise ResourceError(f"{src.address}: token without destination")
-            dest = self._chanends.get(src.dest)
+            dest = resolve_chanend(self._owners, src.dest)
             if dest is None:
                 raise ResourceError(
                     f"{src.address}: destination {src.dest} not attached to "

@@ -7,7 +7,15 @@ from repro.network.routing import Layer
 from repro.network.token import CT_END
 from repro.network.topology import SwallowTopology
 from repro.sim import Simulator, ms
-from repro.xs1 import BehavioralThread, RecvWord, SendCt, SendWord, SetDest, XCore
+from repro.xs1 import (
+    BehavioralThread,
+    RecvWord,
+    ResourceError,
+    SendCt,
+    SendWord,
+    SetDest,
+    XCore,
+)
 
 
 def build():
@@ -35,6 +43,22 @@ class TestAttachment:
         b0 = EthernetBridge.attach(topo, column=0)
         b1 = EthernetBridge.attach(topo, column=3)
         assert b0.node_id != b1.node_id
+
+    def test_bridge_owns_its_node(self):
+        _, topo, bridge = build()
+        for index in range(8):
+            chanend = bridge.chanend(index)
+            assert chanend.allocated
+            assert topo.fabric.local_chanend(bridge.endpoint(index)) is chanend
+
+    @pytest.mark.parametrize("index", [-1, -8, 8])
+    def test_chanend_index_outside_the_bridge_raises(self, index):
+        _, _, bridge = build()
+        message = f"{bridge.name}: no chanend {index}$"
+        with pytest.raises(ResourceError, match=message):
+            bridge.chanend(index)
+        with pytest.raises(ResourceError, match=message):
+            bridge.endpoint(index)
 
 
 class TestEgress:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.network.routing import Layer
+from repro.network.header import ChanendAddress
+from repro.network.routing import Layer, RoutingError
 from repro.network.token import CT_END
 from repro.sim import to_ns
 from repro.xs1 import (
@@ -11,6 +12,8 @@ from repro.xs1 import (
     RecvWord,
     SendCt,
     SendWord,
+    SetDest,
+    XCore,
 )
 
 
@@ -275,3 +278,48 @@ class TestDeterminism:
             return rig.sim.now, tuple(got), rig.sim.events_processed
 
         assert run_once() == run_once()
+
+
+class TestChanendOwners:
+    """The fabric finds a node's chanends through the core that owns them."""
+
+    def test_token_to_untouched_chanend_lands_in_its_rx(self, rig):
+        a = rig.topology.node_at(0, 0, Layer.VERTICAL)
+        b = rig.topology.node_at(1, 1, Layer.HORIZONTAL)
+        receiver = rig.core(b)
+        assert receiver._chanends[5] is None   # nothing on b touched it
+        tx = rig.core(a).allocate_chanend()
+
+        def sender():
+            yield SetDest(tx, ChanendAddress(b, 5))
+            yield SendWord(tx, 0x01020304)
+            yield SendCt(tx, CT_END)
+
+        BehavioralThread(rig.core(a), sender())
+        rig.sim.run()
+        rx = receiver.chanend(5)
+        assert [token.value for token in rx.rx] == [1, 2, 3, 4, CT_END]
+        assert rx.rx[-1].is_end
+        assert rx.tokens_received == 5
+
+    def test_local_chanend_is_the_cores_own(self, rig):
+        node = rig.topology.node_at(2, 0, Layer.VERTICAL)
+        core = rig.core(node)
+        address = ChanendAddress(node, 7)
+        assert rig.fabric.local_chanend(address) is core.chanend(7)
+        assert core.chanend(7).address == address
+
+    def test_index_outside_the_pool_raises(self, rig):
+        node = rig.topology.node_at(0, 0, Layer.VERTICAL)
+        rig.core(node)
+        with pytest.raises(RoutingError, match="no chanend"):
+            rig.fabric.local_chanend(ChanendAddress(node, 32))
+
+    def test_node_without_a_core_raises(self, rig):
+        node = rig.topology.node_at(0, 0, Layer.VERTICAL)
+        with pytest.raises(RoutingError, match="no chanend"):
+            rig.fabric.local_chanend(ChanendAddress(node, 0))
+
+    def test_core_on_a_node_outside_the_fabric_rejected(self, rig):
+        with pytest.raises(RoutingError, match="not in fabric"):
+            XCore(rig.sim, 999, rig.fabric)

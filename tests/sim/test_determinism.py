@@ -6,10 +6,18 @@ including ties, cancellations, and nested scheduling — must replay
 identically.
 """
 
+import hashlib
+import json
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 #: A scripted scheduling action: (delay, payload, cancel_index | None).
 actions = st.lists(
@@ -86,6 +94,22 @@ class TestObservabilityDeterminism:
         b = second.metrics_snapshot().to_json()
         assert a == b
         assert len(a) > 2  # not trivially empty
+
+    def test_metric_snapshot_pinned(self):
+        """The demo's seed-11 snapshot, and the order of its samples, are
+        pinned across commits: two runs of one commit cannot show a
+        collector that drops, renames or reorders a series."""
+        system, _ = self._run_demo(seed=11)
+        snapshot = system.metrics_snapshot()
+        order = json.dumps(
+            [[name, labels] for name, labels, _ in snapshot._samples],
+            sort_keys=True, separators=(",", ":"),
+        )
+        assert len(snapshot) == 534
+        assert _sha256(snapshot.to_json()) == (
+            "71cbeeed4e4e0f8bcaacbc239423ab19baaa83149100cfa3b012819a0692b747")
+        assert _sha256(order) == (
+            "05ffabfa555ab00d5d17fd4fd5d37b8e80392f1b0f757699e52a313ff85f421a")
 
     def test_trace_exports_byte_identical(self):
         _, first = self._run_demo(seed=11)

@@ -1,8 +1,23 @@
 """Channel-communication tests over the loopback fabric."""
 
+import gc
+
 import pytest
 
-from repro.xs1 import CT_END, TrapError, assemble
+from repro.network.header import ChanendAddress
+from repro.network.token import data_token
+from repro.sim import Simulator
+from repro.xs1 import (
+    CT_END,
+    Chanend,
+    LockResource,
+    LoopbackFabric,
+    ResourceError,
+    TimerResource,
+    TrapError,
+    XCore,
+    assemble,
+)
 
 
 class TestIsaChannels:
@@ -240,3 +255,86 @@ class TestResourceLifecycle:
                    regs={"r0": unused.address.encode()})
         with pytest.raises(TrapError, match="not allocated"):
             sim.run()
+
+
+def _index(resource_id: int) -> int:
+    return (resource_id >> 8) & 0xFF
+
+
+class TestLazyResources:
+    """A core makes each chanend, timer and lock the first time it is used."""
+
+    def test_fresh_build_holds_no_resource_objects(self):
+        from repro import SwallowSystem
+
+        def resources() -> int:
+            return sum(1 for obj in gc.get_objects()
+                       if isinstance(obj, (Chanend, TimerResource, LockResource)))
+
+        gc.collect()
+        before = resources()
+        system = SwallowSystem()
+        assert len(system.cores) == 16
+        assert resources() == before
+
+    def test_token_to_untouched_chanend_lands_in_its_rx(self, sim, core, make_core):
+        other = make_core()
+        assert other._chanends[5] is None   # nothing on `other` touched it
+        tx = core.allocate_chanend()
+        tx.set_dest(ChanendAddress(other.node_id, 5))
+        tx.push_tx([data_token(0x42)])
+        sim.run()
+        rx = other.chanend(5)
+        assert [token.value for token in rx.rx] == [0x42]
+        assert rx.tokens_received == 1
+        assert not rx.allocated
+
+    def test_getr_hands_out_the_lowest_free_index(self, sim, core):
+        core.chanend(0)        # looked up, not allocated: still free
+        thread = core.spawn(assemble("""
+            getr r0, 2
+            getr r1, 2
+            getr r2, 2
+            freer r1
+            getr r3, 2
+            getr r4, 1
+            getr r5, 1
+            freer r4
+            getr r6, 1
+            getr r7, 3
+            getr r8, 3
+            freer r7
+            getr r9, 3
+            freet
+        """))
+        sim.run()
+        indexes = [_index(thread.regs.read(r)) for r in range(10)]
+        assert indexes == [0, 1, 2, 1, 0, 1, 0, 0, 1, 0]
+        assert thread.regs.read(3) == thread.regs.read(1)
+
+    def test_host_allocation_reuses_a_freed_chanend(self, core):
+        first = core.allocate_chanend()
+        second = core.allocate_chanend()
+        core.free_resource(first.address.encode())
+        assert core.allocate_chanend() is first
+        assert core.allocate_chanend().index == second.index + 1
+
+    def test_lookup_alone_leaves_the_snapshot_unchanged(self):
+        def build() -> XCore:
+            sim = Simulator()
+            return XCore(sim, node_id=0, fabric=LoopbackFabric(sim))
+
+        looked_up, untouched = build(), build()
+        looked_up.chanend(3)
+        looked_up.chanend(31)
+        assert looked_up.snapshot_state() == untouched.snapshot_state()
+
+    def test_chanend_lookup_returns_one_object(self, core):
+        assert core.chanend(4) is core.chanend(4)
+        allocated = core.allocate_chanend()
+        assert core.chanend(allocated.index) is allocated
+
+    @pytest.mark.parametrize("index", [-1, -32, 32, 255])
+    def test_chanend_index_outside_the_pool_raises(self, core, index):
+        with pytest.raises(ResourceError, match=f"core0: no chanend {index}$"):
+            core.chanend(index)
