@@ -57,18 +57,18 @@ class MachineAssembly:
     topology: SwallowTopology
     accounting: EnergyAccounting
     slices: list[SliceAssembly] = field(default_factory=list)
-
-    @property
-    def cores(self) -> list[XCore]:
-        """Every core in the machine, slice by slice."""
-        return [core for board in self.slices for core in board.cores]
+    #: Every core in the machine, slice by slice and chip by chip; made
+    #: once, when :func:`build_machine` has placed every slice.
+    cores: list[XCore] = field(default_factory=list, init=False, repr=False)
+    _cores_by_node: dict[int, XCore] = field(
+        default_factory=dict, init=False, repr=False)
 
     def core_at_node(self, node_id: int) -> XCore:
         """The core occupying network node ``node_id``."""
-        for core in self.cores:
-            if core.node_id == node_id:
-                return core
-        raise KeyError(f"no core at node {node_id}")
+        try:
+            return self._cores_by_node[node_id]
+        except KeyError:
+            raise KeyError(f"no core at node {node_id}") from None
 
     def slice_board(self, sx: int, sy: int) -> SliceAssembly:
         """The slice at grid position (sx, sy)."""
@@ -159,6 +159,8 @@ def build_machine(
                 ),
             )
             machine.slices.append(board)
+    machine.cores = [core for board in machine.slices for core in board.cores]
+    machine._cores_by_node = cores_by_node
     return machine
 
 

@@ -314,9 +314,10 @@ class DirectionGroup:
     def __init__(self, name: str):
         self.name = name
         self.links: list[HalfLink] = []
-        self.waiters: dict[str, deque["InputPort"]] = {
-            lane: deque() for lane in self.LANES
-        }
+        #: Each lane's FIFO of queued ports, made when a port first
+        #: queues on the lane and dropped once it empties, so a group
+        #: no route has waited on holds none.
+        self.waiters: dict[str, deque["InputPort"]] = {}
 
     def add(self, link: HalfLink) -> None:
         """Register an outgoing half-link in this direction."""
@@ -337,8 +338,11 @@ class DirectionGroup:
             if link.free:
                 link.seize(port)
                 return link
-        if port not in self.waiters[lane]:
-            self.waiters[lane].append(port)
+        queue = self.waiters.get(lane)
+        if queue is None:
+            queue = self.waiters[lane] = deque()
+        if port not in queue:
+            queue.append(port)
         return None
 
     def release(self, link: HalfLink, port: "InputPort") -> None:
@@ -348,27 +352,33 @@ class DirectionGroup:
         its waiters stay queued for the lane's surviving links.
         """
         link.release(port)
-        if link.failed:
+        if link.failed or not self.waiters:
             return
         for lane in self.LANES:
-            if link in self._lane_links(lane) and self.waiters[lane]:
-                next_port = self.waiters[lane].popleft()
+            queue = self.waiters.get(lane)
+            if queue and link in self._lane_links(lane):
+                next_port = queue.popleft()
+                if not queue:
+                    del self.waiters[lane]
                 link.seize(next_port)
                 next_port.granted_link(link)
                 return
 
     def forget(self, port: "InputPort") -> None:
         """Drop ``port`` from every lane's wait queue (route severed)."""
-        for lane in self.LANES:
+        for lane, queue in list(self.waiters.items()):
             try:
-                self.waiters[lane].remove(port)
+                queue.remove(port)
             except ValueError:
-                pass
+                continue
+            if not queue:
+                del self.waiters[lane]
 
     @property
     def all_waiters(self) -> list["InputPort"]:
         """Every queued port, across lanes."""
-        return [port for lane in self.LANES for port in self.waiters[lane]]
+        return [port for lane in self.LANES
+                for port in self.waiters.get(lane, ())]
 
     def __repr__(self) -> str:
         held = sum(1 for link in self.links if not link.free)

@@ -45,6 +45,10 @@ class EventHandle:
     push a callback that rescheduled itself one period on would have
     made, but without calling it.  Setting ``repeat`` back to 0 disarms
     the handle: its pending entry then fires the callback as usual.
+    When every entry within one period of the head is such a handle of
+    one period, the unprofiled drain fires whole periods of them in one
+    step (:meth:`Simulator._skip_periods`); each handle's ``repeat``
+    and queue slot then read as if it had fired one period at a time.
     """
 
     __slots__ = ("callback", "cancelled", "executed", "repeat", "period")
@@ -227,7 +231,16 @@ class Simulator:
         reads the right high-water mark.
         Returns the number of events fired.  The loop's state lives in
         locals, and the call branches once on whether a profiler is
-        installed: the profiled branch also keeps the profiler's
+        installed.  The unprofiled branch counts the silent firings
+        since the last call; once they number the queue's depth, it
+        tries :meth:`_skip_periods` before entering the next bucket,
+        and after a skip re-tests the queue, ``until_ps`` and
+        ``max_events`` as at any bucket boundary.  So a call pays one
+        store, a silent firing one add and a bucket boundary one
+        compare, and a try reads at most the queue's entries once per
+        depth's worth of silent firings.  The profiled branch fires
+        every event one at a time, as the reference: it also keeps the
+        profiler's
         run-length event ledger, with its state hoisted into locals too
         — silent firings and ``call_soon`` runs are ledgered under their
         callback's key — and wall-times every ``wall_sample_every``-th
@@ -257,6 +270,9 @@ class Simulator:
         bucket = ()
         profiler = self._profiler
         if profiler is None:
+            # Silent firings since the last call: once they number the
+            # queue's depth, try a whole-period skip at the next bucket.
+            quiet = 0
             try:
                 while True:
                     if not bucket:
@@ -265,6 +281,14 @@ class Simulator:
                             pop(times)
                         if not times or times[0] > until:
                             break
+                        if quiet >= self._depth:
+                            quiet = 0
+                            skipped = self._skip_periods(until, limit - executed)
+                            if skipped:
+                                executed += skipped
+                                if executed == limit:
+                                    break
+                                continue
                         time_ps = times[0]
                         bucket = buckets[time_ps]
                         take = bucket.popleft
@@ -286,6 +310,7 @@ class Simulator:
                             dest.append(event)
                             self._seq += 1
                             executed += 1
+                            quiet += 1
                             if executed == limit:
                                 break
                             continue
@@ -293,6 +318,7 @@ class Simulator:
                         callback = event.callback
                     self._depth -= 1
                     executed += 1
+                    quiet = 0
                     callback()
                     if executed == limit:
                         break
@@ -381,6 +407,106 @@ class Simulator:
             profiler._rle_count = executed - run_start
             profiler._cancelled += cancelled
         return executed
+
+    def _skip_periods(self, until: float, room: int) -> int:
+        """Fire whole periods of a *silent window* in one step.
+
+        The window is every bucket before ``head + period``, where
+        ``head`` is the earliest pending time and ``period`` that of its
+        first entry; it is silent when every entry in it is a live armed
+        handle (``repeat > 0``, not cancelled) of that one ``period >
+        0``.  Firing such a window one event at a time calls nothing:
+        each handle moves one period on, behind everything queued there
+        already, so after one firing per handle the queue holds the same
+        handles in the same order, one period later.  This moves the
+        window ``k`` periods in one step, where ``k`` is the least of
+        the window's smallest ``repeat``; the periods whose every firing
+        comes before the first later entry (of any kind, cancelled
+        included); the whole rounds that fit in ``room`` events
+        (negative: no limit); and the periods whose last firing is at or
+        before ``until``.  Each window bucket joins the back of the
+        bucket ``k * period`` later (or opens it), each ``repeat`` drops
+        by ``k``, the sequence counter rises by one per firing, ``now``
+        becomes the last firing's time and the depth stays, so every
+        entry holds the ``(time, seq)`` slot per-event firing gives it.
+        Returns the number of firings made (0: no skip).
+        """
+        times = self._times
+        buckets = self._buckets
+        first = buckets[times[0]]
+        # A drain that stopped at its event limit leaves the bucket it
+        # emptied registered until the next drain enters it.
+        if not first or type(first[0]) is not EventHandle:
+            return 0
+        period = first[0].period
+        if period <= 0:
+            return 0
+        end = times[0] + period
+        # The window's times are the heap nodes below ``end``, reached
+        # from the root; the least node at or past ``end`` that this
+        # walk meets is the first later time.
+        window = []
+        later = inf
+        count = 0
+        fewest = inf
+        last = times[0]
+        size = len(times)
+        stack = [0]
+        while True:
+            index = stack.pop()
+            time_ps = times[index]
+            if time_ps >= end:
+                if time_ps < later:
+                    later = time_ps
+            else:
+                window.append(time_ps)
+                bucket = buckets[time_ps]
+                for entry in bucket:
+                    if (type(entry) is not EventHandle or entry.cancelled
+                            or entry.period != period or entry.repeat < 1):
+                        return 0
+                    if entry.repeat < fewest:
+                        fewest = entry.repeat
+                if bucket:
+                    count += len(bucket)
+                    if time_ps > last:
+                        last = time_ps
+                child = 2 * index + 1
+                if child < size:
+                    stack.append(child)
+                    if child + 1 < size:
+                        stack.append(child + 1)
+            if not stack:
+                break
+        k = fewest
+        if later < inf:
+            k = min(k, (later - 1 - last) // period + 1)
+        if until < inf:
+            k = min(k, (until - last) // period + 1)
+        if room >= 0:
+            k = min(k, room // count)
+        if k < 1:
+            return 0
+        shift = k * period
+        for _ in window:
+            heappop(times)
+        for time_ps in window:
+            bucket = buckets.pop(time_ps)
+            if not bucket:
+                continue
+            for entry in bucket:
+                entry.repeat -= k
+            time_ps += shift
+            dest = buckets.get(time_ps)
+            if dest is None:
+                buckets[time_ps] = bucket
+                heappush(times, time_ps)
+            else:
+                dest.extend(bucket)
+        fired = k * count
+        self._seq += fired
+        self._now = last + shift - period
+        return fired
 
     def step(self) -> bool:
         """Run the single next event.  Returns False if the queue is empty."""

@@ -32,6 +32,16 @@ class TestSingleSlice:
         with pytest.raises(KeyError):
             machine.core_at_node(999)
 
+    def test_cores_made_once_in_slice_major_order(self):
+        """The core list is built once, slice by slice and chip by chip,
+        and ``core_at_node`` finds each core by its node."""
+        machine = build_machine(Simulator(), slices_x=2, slices_y=2)
+        assert machine.cores is machine.cores
+        assert machine.cores == [core for board in machine.slices
+                                 for chip in board.chips for core in chip.cores]
+        for core in machine.cores:
+            assert machine.core_at_node(core.node_id) is core
+
     def test_slice_board_lookup(self):
         machine = build_machine(Simulator(), slices_x=2, slices_y=2)
         assert machine.slice_board(1, 1).sx == 1

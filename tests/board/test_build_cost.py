@@ -21,3 +21,13 @@ def test_build_adds_few_tracked_objects_per_core():
     added = len(gc.get_objects()) - before
     assert len(system.cores) == 32
     assert added / len(system.cores) <= 120, f"{added} objects"
+
+
+def test_build_holds_no_waiter_queue():
+    """A direction group makes a lane's waiter queue when a route first
+    waits on the lane, so a fresh build, where none has, holds none."""
+    system = SwallowSystem()
+    groups = [group for switch in system.topology.fabric.switches.values()
+              for group in switch.groups.values()]
+    assert groups
+    assert all(group.waiters == {} for group in groups)

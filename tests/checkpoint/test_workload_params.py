@@ -67,8 +67,8 @@ class TestShippedParamSets:
     def test_ci_param_sets_are_accepted(self):
         sets = ci_param_sets()
         # Two sweep specs (the 24-job sweep smoke and the 12-cell zoo
-        # smoke) and seven runs with --params.
-        assert len(sets) == 24 + 12 + 7
+        # smoke) and eight runs with --params.
+        assert len(sets) == 24 + 12 + 8
         for workload, params in sets:
             assert set(params) <= WORKLOAD_PARAMS[workload], params
 

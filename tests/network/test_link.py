@@ -181,6 +181,30 @@ class TestDirectionGroup:
         assert link.holder is second
         assert second.granted == [link]
 
+    def test_waiters_granted_fifo_per_lane(self):
+        """A lane's queue is made on its first waiter, grants oldest
+        first, survives ``forget`` of one port and goes once empty."""
+        sim = Simulator()
+        group = DirectionGroup("E")
+        link = make_link(sim)
+        group.add(link)
+        holder = FakePort()
+        group.try_allocate(holder)
+        assert group.waiters == {}
+        first, dropped, second = FakePort(), FakePort(), FakePort()
+        for port in (first, dropped, second):
+            assert group.try_allocate(port) is None
+        assert list(group.waiters) == ["any"]
+        group.forget(dropped)
+        assert group.all_waiters == [first, second]
+        group.release(link, holder)
+        assert link.holder is first
+        group.release(link, first)
+        assert link.holder is second
+        assert group.waiters == {}
+        group.release(link, second)
+        assert link.free and dropped.granted == []
+
     def test_no_duplicate_waiters(self):
         sim = Simulator()
         group = DirectionGroup("E")

@@ -20,6 +20,13 @@ same ``pending_events`` and ``next_event_time`` at every peek, and the
 same ``events_processed``, sequence counter, queue high-water mark and
 cancelled pops; profiled, also the same event ledger, wall samples and
 queue-depth timeline.
+
+A second strategy draws *clocked* programs, handles armed on one period
+grid as cores on one clock leave them, where the unprofiled drain moves
+the queue on whole periods at once (``Simulator._skip_periods``); they
+run through the same drives and checks, a spy on the skip requires a
+skip of more than one period among them, and four pinned programs
+check the exact skips one drive makes.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -285,14 +293,9 @@ def _marks(sim: Simulator, chunk: int, check) -> int:
 DRIVES = (_run, _chunked, _until_slices, _steps, _marks)
 
 
-@settings(max_examples=150, deadline=None)
-@given(program=programs, chunk=st.integers(min_value=1, max_value=5))
-# A peek from the last event at a time retires that time's emptied
-# bucket; the drain loop must not retire it again, nor the bucket a
-# later push opens at the same time.
-@example(program=([("at_now", [("peek",)])], []), chunk=1)
-@example(program=([("at_now", [("peek",), ("sched", 0, [])])], []), chunk=1)
-def test_every_drive_matches_the_reference_kernel(program, chunk):
+def _check_every_drive(program, chunk) -> None:
+    """Run ``program`` through every drive, unprofiled and profiled at
+    two strides, and compare each run with the reference kernel."""
     reference = ReferenceKernel()
     expected = play(program, reference)
     pops_before_run = reference.cancelled_pops
@@ -331,6 +334,126 @@ def test_every_drive_matches_the_reference_kernel(program, chunk):
             assert sim.queue_depth_high_water == \
                 reference.queue_depth_high_water, where
             assert sim.pending_events == 0, where
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=programs, chunk=st.integers(min_value=1, max_value=5))
+# A peek from the last event at a time retires that time's emptied
+# bucket; the drain loop must not retire it again, nor the bucket a
+# later push opens at the same time.
+@example(program=([("at_now", [("peek",)])], []), chunk=1)
+@example(program=([("at_now", [("peek",), ("sched", 0, [])])], []), chunk=1)
+def test_every_drive_matches_the_reference_kernel(program, chunk):
+    _check_every_drive(program, chunk)
+
+
+# Clocked programs: 2-12 handles armed on one period grid, their phases
+# within one period and up to 40 silent firings each, as cores waiting
+# on one clock leave them; mixed in are loud events far enough out to
+# land inside the silent stretch, ``call_soon`` runs, period-0 handles
+# and a handle of a second period.  Loud events and the handles' own
+# callbacks cancel, disarm, peek and re-arm, so windows break up
+# mid-stream.
+_repeats = st.integers(min_value=1, max_value=40)
+
+
+@st.composite
+def clocked_programs(draw):
+    period = draw(st.integers(min_value=1, max_value=6))
+    far = st.integers(min_value=0, max_value=40 * period)
+    rearm = st.tuples(st.just("arm"), st.integers(min_value=1, max_value=period),
+                      _repeats, st.just(period), st.just([]))
+    reactions = st.lists(st.one_of(_leaf, rearm), max_size=3)
+    clocked = [("arm", draw(st.integers(min_value=0, max_value=period - 1)),
+                draw(_repeats), period, draw(reactions))
+               for _ in range(draw(st.integers(min_value=2, max_value=12)))]
+    others = draw(st.lists(st.one_of(
+        st.tuples(st.just("sched"), far, reactions),
+        st.tuples(st.just("soon"), reactions),
+        st.tuples(st.just("arm"), far, _repeats, st.just(0), reactions),
+        st.tuples(st.just("arm"), far, _repeats,
+                  st.integers(min_value=1, max_value=8), reactions),
+    ), max_size=4))
+    roots = draw(st.permutations(clocked + others))
+    return roots, draw(st.lists(_leaf, max_size=3))
+
+
+# Four pinned clocked programs, each with a drive, its chunk and the
+# skips that drive tries, as (firings, periods) pairs.
+#   A loud event exactly two periods past the window bounds the skip to
+#   two periods: the handle lands behind it at time 12, and the loud
+#   event's disarm makes the handle's callback fire there.
+_LOUD_BOUND = ([("arm", 0, 10, 3, []), ("sched", 12, [("disarm", 0)])], [])
+#   ``run_until`` horizons in mid-period (10, 20, ...): a skip stops at
+#   the last firing at or before the horizon, and the loop re-tests the
+#   horizon before entering the next bucket.
+_MID_PERIOD = ([("arm", 0, 10, 4, [])], [])
+#   ``max_events`` of 11 on three handles: whole rounds of three skip,
+#   the rest of each chunk fires one by one.
+_MAX_EVENTS = ([("arm", 0, 20, 5, []), ("arm", 1, 20, 5, []),
+                ("arm", 2, 20, 5, [])], [])
+#   An event cancelled at time 7, inside the window [6, 9) when the
+#   first skip is tried: no skip until it has been discarded.
+_CANCELLED = ([("arm", 0, 20, 3, []), ("arm", 0, 20, 3, []),
+               ("sched", 7, []), ("cancel", 2)], [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=clocked_programs(), chunk=st.integers(min_value=1, max_value=60))
+@example(program=_LOUD_BOUND, chunk=1)
+@example(program=_MID_PERIOD, chunk=10)
+@example(program=_MAX_EVENTS, chunk=11)
+@example(program=_CANCELLED, chunk=1)
+def _clocked_programs_match_the_reference(program, chunk):
+    _check_every_drive(program, chunk)
+
+
+def _spy_on_skips(monkeypatch) -> list[tuple[int, int]]:
+    """Record each whole-period skip the kernel tries as (firings,
+    periods), (0, 0) when it makes none; the head entry's ``repeat``
+    drops by the periods skipped."""
+    skips: list[tuple[int, int]] = []
+    skip_periods = Simulator._skip_periods
+
+    def spy(sim, until, room):
+        head = sim._buckets[sim._times[0]]
+        entry = head[0] if head else None
+        repeat = getattr(entry, "repeat", 0)
+        fired = skip_periods(sim, until, room)
+        skips.append((fired, repeat - entry.repeat if fired else 0))
+        return fired
+
+    monkeypatch.setattr(Simulator, "_skip_periods", spy)
+    return skips
+
+
+def test_clocked_programs_match_the_reference_kernel(monkeypatch):
+    """Every drive of a clocked program matches the reference kernel,
+    and the kernel skips more than one period at a time on some."""
+    skips = _spy_on_skips(monkeypatch)
+    _clocked_programs_match_the_reference()
+    assert max(periods for _, periods in skips) > 1
+
+
+@pytest.mark.parametrize("program, drive, chunk, expected", [
+    (_LOUD_BOUND, _run, 1, [(2, 2)]),
+    (_MID_PERIOD, _until_slices, 10, [(2, 2), (2, 2), (1, 1), (1, 1)]),
+    (_MAX_EVENTS, _chunked, 11, [(6, 2)] * 5 + [(0, 0)]),
+    (_CANCELLED, _run, 1, [(0, 0), (34, 17)]),
+], ids=["loud_bound", "mid_period", "max_events", "cancelled"])
+def test_pinned_clocked_programs_skip_as_planned(monkeypatch, program, drive,
+                                                 chunk, expected):
+    reference = ReferenceKernel()
+    expected_log = play(program, reference)
+    reference.run()
+    skips = _spy_on_skips(monkeypatch)
+    sim = Simulator()
+    log = play(program, sim)
+    drive(sim, chunk, lambda floor: None)
+    assert skips == expected
+    assert log == expected_log
+    assert (sim.events_processed, sim.snapshot_state()["seq"]) == \
+        (reference.events_processed, reference.seq)
 
 
 def test_max_events_below_one_runs_nothing():
