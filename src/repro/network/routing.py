@@ -36,6 +36,12 @@ class Direction(Enum):
     INTERNAL = "I"   # cross to the package sibling (layer change)
     LOCAL = "local"  # deliver to a chanend on this node
 
+    #: Members are singletons compared by identity, so hashing by
+    #: identity agrees with equality.  It runs in C; ``Enum``'s default
+    #: name hash runs in Python on every lookup in a switch's
+    #: direction-keyed tables.
+    __hash__ = object.__hash__
+
 
 class RoutingError(Exception):
     """Raised when no route exists toward a destination."""

@@ -31,7 +31,7 @@ from repro.xs1.isa import INSTRUCTION_SET, Instruction, Operand
 from repro.xs1.registers import REGISTER_INDEX
 
 if TYPE_CHECKING:
-    from repro.xs1.executor import IssueRow
+    from repro.xs1.executor import CountedLoop, IssueRow
 
 
 @dataclass
@@ -63,6 +63,15 @@ class Program:
         from repro.xs1.executor import quiet_bound
 
         return quiet_bound(self.instructions)
+
+    @cached_property
+    def loop_table(self) -> list[CountedLoop | None]:
+        """Per ``pc``, the counted ``subi``/``bt`` loop it lies in, or
+        None (:func:`~repro.xs1.executor.loop_table`); built once, on
+        first use."""
+        from repro.xs1.executor import loop_table
+
+        return loop_table(self.instructions, self.quiet_bound)
 
     def entry(self, label: str = "start") -> int:
         """Instruction index of ``label`` (defaults to ``start``, else 0)."""

@@ -14,16 +14,18 @@ those rows by ``pc`` and retire the instruction themselves
 
 A handler registered ``quiet`` reads and writes only its thread's
 registers and pc, and cannot trap while its register operands lie in
-the file; :func:`quiet_bound` counts, per pc, the quiet instructions a
-thread is sure to issue next, which a core fires without a call (see
-:class:`repro.xs1.core.SilentRun`).
+the file; it declares the one register it writes beside its flow.
+:func:`quiet_bound` counts, per pc, the quiet instructions a thread is
+sure to issue next, which a core fires without a call (see
+:class:`repro.xs1.core.SilentRun`), and :func:`loop_table` finds the
+counted ``subi``/``bt`` loops whose counter tells how many more.
 """
 
 from __future__ import annotations
 
 import operator
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.network.header import CHANEND_TYPE, ChanendAddress
 from repro.network.token import (
@@ -75,8 +77,10 @@ _HANDLERS: dict[str, _Handler] = {}
 #: Where a quiet instruction at ``pc`` with ``args`` may go next; an
 #: empty tuple means only issuing it tells (a computed branch).
 _Flow = Callable[[int, tuple[int, ...]], tuple[int, ...]]
-#: The quiet mnemonics, each with its flow.
-_QUIET: dict[str, _Flow] = {}
+#: The one register a quiet instruction with ``args`` writes, or None.
+_Writes = Callable[[tuple[int, ...]], int | None]
+#: The quiet mnemonics, each with its flow and the register it writes.
+_QUIET: dict[str, tuple[_Flow, _Writes]] = {}
 
 #: One decoded instruction: what :meth:`IsaThread.step` issues.
 IssueRow = tuple[_Handler, tuple[int, ...], EnergyClass]
@@ -98,11 +102,24 @@ def _computed(pc: int, args: tuple[int, ...]) -> tuple[int, ...]:
     return ()
 
 
-def _handler(mnemonic: str, quiet: _Flow | None = None) -> Callable[[_Handler], _Handler]:
+def _first(args: tuple[int, ...]) -> int:
+    return args[0]
+
+
+def _link(args: tuple[int, ...]) -> int:
+    return _LR
+
+
+def _nothing(args: tuple[int, ...]) -> None:
+    return None
+
+
+def _handler(mnemonic: str, quiet: _Flow | None = None,
+             writes: _Writes = _nothing) -> Callable[[_Handler], _Handler]:
     def register(func: _Handler) -> _Handler:
         _HANDLERS[mnemonic] = func
         if quiet is not None:
-            _QUIET[mnemonic] = quiet
+            _QUIET[mnemonic] = (quiet, writes)
         return func
 
     return register
@@ -141,7 +158,8 @@ def decode(instruction: Instruction) -> IssueRow:
 
 
 #: The bound of a pc whose quiet paths never end (a quiet loop with no
-#: way out), so that a silent run over it still ends.
+#: way out), and of a counted loop whose counter wraps through 2**32
+#: turns, so that a silent run over it still ends.
 QUIET_CAP = 1 << 16
 
 
@@ -159,11 +177,11 @@ def quiet_bound(instructions: list[Instruction]) -> list[int]:
     size = len(instructions)
     flows: list[tuple[int, ...] | None] = []
     for pc, instruction in enumerate(instructions):
-        flow = _QUIET.get(instruction.mnemonic)
-        if flow is None or _register_outside_file(instruction) is not None:
+        quiet = _QUIET.get(instruction.mnemonic)
+        if quiet is None or _register_outside_file(instruction) is not None:
             flows.append(None)
         else:
-            flows.append(flow(pc, instruction.args))
+            flows.append(quiet[0](pc, instruction.args))
     bound = [0 if targets is None else QUIET_CAP for targets in flows]
     changed = True
     while changed:
@@ -179,6 +197,67 @@ def quiet_bound(instructions: list[Instruction]) -> list[int]:
     return bound
 
 
+class CountedLoop(NamedTuple):
+    """A pc inside a counted loop: what tells the issues left from it."""
+
+    #: The register the loop's ``bt`` tests.
+    counter: int
+    #: The ``k`` its ``subi counter, counter, k`` takes off each turn.
+    step: int
+    #: The ``subi`` is still to issue before the ``bt`` (the pc is at or
+    #: before it).
+    before: bool
+    #: Issues from the pc through the ``bt``, plus the quiet bound after
+    #: the loop.
+    rest: int
+    #: Issues per turn of the loop.
+    turn: int
+
+
+def loop_table(instructions: list[Instruction],
+               bound: list[int]) -> list[CountedLoop | None]:
+    """Per pc, the counted loop it lies in, or None.
+
+    A ``bt rX, head`` at pc ``back``, ``head <= back``, closes a counted
+    loop when every instruction from ``head`` to ``back - 1`` is quiet
+    with straight-line flow, has its register operands in the file,
+    and exactly one of them writes ``rX``: a ``subi rX, rX, k`` with
+    ``k >= 1``.  Then the value of ``rX`` alone tells how many turns are
+    left (:meth:`repro.xs1.thread.IsaThread.silent_budget`).  ``bound``
+    is the program's :func:`quiet_bound`, which gives the issues that
+    follow the loop.
+    """
+    size = len(instructions)
+    table: list[CountedLoop | None] = [None] * size
+    for back, closing in enumerate(instructions):
+        if closing.mnemonic != "bt" or _register_outside_file(closing) is not None:
+            continue
+        counter, head = closing.args
+        if not 0 <= head <= back:
+            continue
+        dec = step = None
+        for pc in range(head, back):
+            body = instructions[pc]
+            quiet = _QUIET.get(body.mnemonic)
+            if (quiet is None or quiet[0] is not _next
+                    or _register_outside_file(body) is not None):
+                break
+            if quiet[1](body.args) != counter:
+                continue
+            if (dec is not None or body.mnemonic != "subi"
+                    or body.args[1] != counter or body.args[2] < 1):
+                break
+            dec, step = pc, body.args[2]
+        else:
+            if dec is None:
+                continue
+            after = bound[back + 1] if back + 1 < size else 0
+            for pc in range(head, back + 1):
+                table[pc] = CountedLoop(counter, step, pc <= dec,
+                                        back - pc + 1 + after, back - head + 1)
+    return table
+
+
 def _advance(thread: "IsaThread") -> StepOutcome:
     thread.ip += 1
     return _ISSUED
@@ -189,7 +268,7 @@ def _advance(thread: "IsaThread") -> StepOutcome:
 # ---------------------------------------------------------------------------
 
 def _binop(mnemonic: str, operation: Callable[[int, int], int]) -> None:
-    @_handler(mnemonic, quiet=_next)
+    @_handler(mnemonic, quiet=_next, writes=_first)
     def run(core: "XCore", thread: "IsaThread", args: tuple[int, ...]) -> StepOutcome:
         rd, ra, rb = args
         regs = thread.registers.values
@@ -199,7 +278,7 @@ def _binop(mnemonic: str, operation: Callable[[int, int], int]) -> None:
 
 
 def _binop_imm(mnemonic: str, operation: Callable[[int, int], int]) -> None:
-    @_handler(mnemonic, quiet=_next)
+    @_handler(mnemonic, quiet=_next, writes=_first)
     def run(core: "XCore", thread: "IsaThread", args: tuple[int, ...]) -> StepOutcome:
         rd, ra, imm = args
         regs = thread.registers.values
@@ -249,14 +328,14 @@ def _remu(core, thread, args):
     return _advance(thread)
 
 
-@_handler("ldc", quiet=_next)
+@_handler("ldc", quiet=_next, writes=_first)
 def _ldc(core, thread, args):
     rd, imm = args
     thread.registers.values[rd] = imm & _MASK
     return _advance(thread)
 
 
-@_handler("mov", quiet=_next)
+@_handler("mov", quiet=_next, writes=_first)
 def _mov(core, thread, args):
     rd, rs = args
     regs = thread.registers.values
@@ -264,14 +343,14 @@ def _mov(core, thread, args):
     return _advance(thread)
 
 
-@_handler("mkmsk", quiet=_next)
+@_handler("mkmsk", quiet=_next, writes=_first)
 def _mkmsk(core, thread, args):
     rd, imm = args
     thread.registers.values[rd] = (1 << (imm & 31)) - 1 if imm < 32 else _MASK
     return _advance(thread)
 
 
-@_handler("neg", quiet=_next)
+@_handler("neg", quiet=_next, writes=_first)
 def _neg(core, thread, args):
     rd, rs = args
     regs = thread.registers.values
@@ -279,7 +358,7 @@ def _neg(core, thread, args):
     return _advance(thread)
 
 
-@_handler("not", quiet=_next)
+@_handler("not", quiet=_next, writes=_first)
 def _not(core, thread, args):
     rd, rs = args
     regs = thread.registers.values
@@ -309,7 +388,7 @@ def _zext(core, thread, args):
     return _advance(thread)
 
 
-@_handler("andnot", quiet=_next)
+@_handler("andnot", quiet=_next, writes=_first)
 def _andnot(core, thread, args):
     rd, rs = args
     regs = thread.registers.values
@@ -317,7 +396,7 @@ def _andnot(core, thread, args):
     return _advance(thread)
 
 
-@_handler("clz", quiet=_next)
+@_handler("clz", quiet=_next, writes=_first)
 def _clz(core, thread, args):
     rd, rs = args
     regs = thread.registers.values
@@ -325,7 +404,7 @@ def _clz(core, thread, args):
     return _advance(thread)
 
 
-@_handler("byterev", quiet=_next)
+@_handler("byterev", quiet=_next, writes=_first)
 def _byterev(core, thread, args):
     rd, rs = args
     regs = thread.registers.values
@@ -333,7 +412,7 @@ def _byterev(core, thread, args):
     return _advance(thread)
 
 
-@_handler("bitrev", quiet=_next)
+@_handler("bitrev", quiet=_next, writes=_first)
 def _bitrev(core, thread, args):
     rd, rs = args
     regs = thread.registers.values
@@ -382,7 +461,7 @@ def _stb(core, thread, args):
     return _advance(thread)
 
 
-@_handler("ldaw", quiet=_next)
+@_handler("ldaw", quiet=_next, writes=_first)
 def _ldaw(core, thread, args):
     rd, ra, imm = args
     regs = thread.registers.values
@@ -420,7 +499,7 @@ def _bf(core, thread, args):
     return _ISSUED
 
 
-@_handler("bl", quiet=_to_label)
+@_handler("bl", quiet=_to_label, writes=_link)
 def _bl(core, thread, args):
     thread.registers.values[_LR] = (thread.ip + 1) & _MASK
     thread.ip = args[0]

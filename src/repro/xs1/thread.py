@@ -19,8 +19,8 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.xs1.errors import TrapError
-from repro.xs1.executor import StepOutcome
-from repro.xs1.registers import RegisterFile
+from repro.xs1.executor import QUIET_CAP, StepOutcome
+from repro.xs1.registers import RegisterFile, u32
 
 if TYPE_CHECKING:
     from repro.xs1.assembler import Program
@@ -199,6 +199,7 @@ class IsaThread(HardwareThread):
         self.ip = entry
         self._table = program.issue_table
         self._quiet = program.quiet_bound
+        self._loops = program.loop_table
 
     @property
     def pc(self) -> int:
@@ -216,11 +217,44 @@ class IsaThread(HardwareThread):
         super().take_event(vector)
 
     def silent_budget(self) -> int:
-        """The quiet instructions this thread is sure to issue next
-        (:attr:`Program.quiet_bound <repro.xs1.assembler.Program.quiet_bound>`)."""
+        """The quiet instructions this thread is sure to issue next.
+
+        That is the static bound at ``pc``
+        (:attr:`Program.quiet_bound <repro.xs1.assembler.Program.quiet_bound>`),
+        unless ``pc`` lies in a counted loop
+        (:attr:`Program.loop_table <repro.xs1.assembler.Program.loop_table>`)
+        that closes with ``bt rX`` at ``back`` after a ``subi rX, rX, k``
+        at ``dec``.  Its ``bt`` next tests ``c = rX - k`` (mod 2**32)
+        while the ``subi`` is still ahead in this turn, else ``c = rX``,
+        and then ``c - k``, ``c - 2k``, ...: when ``k`` divides ``c`` the
+        loop turns ``c // k`` more times before it falls through, so the
+        budget is the issues through the ``bt``, ``c // k`` whole turns
+        and the quiet bound after the loop, at most :data:`QUIET_CAP`.
+        When ``k`` does not divide ``c`` the counter wraps past 0, and
+        the static bound holds.
+
+        The budget depends on a register read when the core arms its
+        silent run, so nothing but the thread's own issues may write its
+        registers while the core is armed.  That holds: :meth:`XCore.spawn
+        <repro.xs1.core.XCore.spawn>` writes them before the thread is
+        runnable, registers always hold 32-bit unsigned values, and
+        nothing else writes a running thread's registers.
+        """
         ip = self.ip
         bound = self._quiet
-        return bound[ip] if 0 <= ip < len(bound) else 0
+        if not 0 <= ip < len(bound):
+            return 0
+        loop = self._loops[ip]
+        if loop is not None:
+            counter, step, before, rest, turn = loop
+            tested = self.registers.values[counter]
+            if before:
+                tested = u32(tested - step)
+            turns, left = divmod(tested, step)
+            if not left:
+                budget = rest + turns * turn
+                return budget if budget < QUIET_CAP else QUIET_CAP
+        return bound[ip]
 
     def issue_fired(self, count: int, by_class: dict) -> None:
         """Issue ``count`` quiet instructions from the issue table, as

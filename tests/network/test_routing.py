@@ -14,6 +14,7 @@ from repro.network.routing import (
     next_direction,
     route_hops,
 )
+from repro.xs1.isa import EnergyClass
 
 V, H = Layer.VERTICAL, Layer.HORIZONTAL
 
@@ -137,3 +138,12 @@ class TestHorizontalFirstPolicy:
         assert route_hops(src, dst, policy=horizontal_first_direction)[0] is (
             Direction.INTERNAL
         )
+
+
+@pytest.mark.parametrize("enum", [Direction, EnergyClass])
+def test_hot_path_enums_hash_by_identity(enum):
+    """``Direction`` keys a switch's per-direction tables and
+    ``EnergyClass`` a core's instruction histogram: both hash by
+    identity, in C, not by ``Enum``'s Python-level name hash."""
+    assert enum.__hash__ is object.__hash__
+    assert all(hash(member) == object.__hash__(member) for member in enum)

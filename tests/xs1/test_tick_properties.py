@@ -13,8 +13,10 @@ send/receive on one core and across cores, a sleeper waking beside a
 long ``Compute``, and ISA rotations of one to eight threads whose loops
 run for different lengths, touch SRAM, read the clock, call subroutines
 and jump through registers, beside ``apps.kernels`` programs, behavioural
-``Compute`` threads and a thread woken by an ``in``; all under frequency
-steps on and off clock edges, core kills and late spawns.  The two must
+``Compute`` threads and a thread woken by an ``in``; counted ``subi``/
+``bt`` loops of 1 to 5,000 turns at steps of 1 and 3, whose counters may
+wrap past 0; all under frequency steps on and off clock edges, core
+kills and late spawns.  The two must
 agree exactly: the kernel's event count, sequence counter and queue
 high-water mark, every core's instruction histogram and slot counters
 and every thread's counters, pc and registers (also read mid-run,
@@ -38,6 +40,7 @@ from repro.apps import kernels
 from repro.sim import Frequency
 from repro.xs1 import TrapError, XCore
 from repro.xs1.behavioral import Compute, RecvWord, SendWord, Sleep
+from repro.xs1.executor import QUIET_CAP
 from repro.xs1.isa import EnergyClass
 from repro.xs1.thread import HardwareThread, IsaThread, StepOutcome
 
@@ -155,9 +158,10 @@ def _perturb(system, rng: random.Random, cores: list, horizon: int,
 
 def _observe(system, rng: random.Random, cores: list, horizon: int,
              readers: list, recorder=None, traced: bool = True,
-             attach: bool = False) -> dict:
+             attach: bool = False, until: int | None = None) -> dict:
     """Probe counters at random moments, stop three times to snapshot the
-    platform, run to the end, and return everything observed.
+    platform, run to the end (or to ``until``), and return everything
+    observed.
 
     Each probe reads one counter of one kind of object, so every reader
     is the first to touch a run somewhere, with nothing before it booking
@@ -195,7 +199,10 @@ def _observe(system, rng: random.Random, cores: list, horizon: int,
         stops.append(system.snapshot_state())
         if attach and index == attach_at:
             tracer = system.trace(kinds=("issue",))
-    sim.run()
+    if until is None:
+        sim.run()
+    else:
+        sim.run_until(until)
     return {
         "issue_trace": list(tracer) if tracer is not None else None,
         "kernel": (sim.events_processed, sim.snapshot_state()["seq"],
@@ -483,11 +490,11 @@ def test_divide_by_zero_after_a_quiet_run_traps_alike(threads):
 
 
 def test_single_thread_core_fires_bubbles_silently(monkeypatch):
-    """One spinning thread: 3 bubbles per issue, one callback per loop
-    turn.  The quiet bound from ``subi`` covers it and the ``bt`` but
-    stops there (the ``bt`` may fall through to ``freet``), so each
-    turn's ``subi`` but the first takes a call, and so do the ``ldc``
-    and the ``freet``: 1 + 99 + 1."""
+    """One spinning thread: 3 bubbles per issue.  The ``ldc`` takes a
+    call, and so does the ``freet``; in between, the run the ``ldc``
+    arms covers the whole loop, since at the ``subi`` the thread's
+    counted-loop budget reads ``r0 = 100`` and counts all 100 turns
+    (200 issues): 1 + 1."""
     calls = _count_ticks(monkeypatch)
     system = SwallowSystem()
     core = system.core(0)
@@ -497,16 +504,17 @@ def test_single_thread_core_fires_bubbles_silently(monkeypatch):
     assert issued == 202
     assert core.stats.slots_bubble == 3 * (issued - 1)
     assert system.sim.events_processed == issued + core.stats.slots_bubble
-    assert len(calls) == 101
+    assert len(calls) == 2
 
 
 def test_four_thread_core_fires_its_rotation_silently(monkeypatch):
     """Four spinning threads issue every cycle, and each call arms a
     run over the whole rotation.  The first thread's ``ldc`` takes a
-    call, and the run it arms carries the other ``ldc`` and every
-    thread's first loop turn; from then on each call issues the first
-    thread's ``subi`` and arms a run over the other seven issues of that
-    turn (99 calls), and each ``freet`` takes one: 1 + 99 + 4."""
+    call; the other three still stand at their ``ldc``, outside the
+    loop, so their static bound (``ldc``, ``subi``, ``bt``) ends the
+    run it arms at the second thread's second ``subi``.  That call
+    finds every thread inside its loop, and the run it arms counts each
+    one's turns to the end; each ``freet`` takes one: 1 + 1 + 4."""
     calls = _count_ticks(monkeypatch)
     system = SwallowSystem()
     core = system.core(0)
@@ -517,7 +525,7 @@ def test_four_thread_core_fires_its_rotation_silently(monkeypatch):
     assert issued == 4 * 202
     assert core.stats.slots_bubble == 0
     assert system.sim.events_processed == issued
-    assert len(calls) == 104
+    assert len(calls) == 6
 
 
 def test_lone_compute_fires_its_slots_silently(monkeypatch):
@@ -532,3 +540,179 @@ def test_lone_compute_fires_its_slots_silently(monkeypatch):
     assert core.stats.slots_issued == 101             # the halt takes a slot
     assert core.stats.slots_bubble == 3 * 100
     assert system.sim.events_processed == 101 + 300
+
+
+# ---------------------------------------------------------------------------
+# Counted loops: one silent run through a whole ``subi``/``bt`` loop
+# ---------------------------------------------------------------------------
+
+#: Trip counts dealt to counted loops.
+TRIPS = (1, 2, 37, 5000)
+
+
+def _counted_program(rng: random.Random, index: int, trips: int, step: int,
+                     start: int | None = None, tail: tuple = ()):
+    """A loop of ``trips`` turns that takes ``step`` off ``r0`` per turn,
+    over up to four quiet instructions that read but never write it;
+    ``start`` overrides the counter's first value and ``tail`` runs after
+    the loop."""
+    body = [rng.choice(QUIET_OPS) for _ in range(rng.randint(0, 4))]
+    body.insert(rng.randint(0, len(body)), f"subi r0, r0, {step}")
+    source = "\n".join([
+        f"ldc r0, {trips * step if start is None else start}",
+        f"ldc r9, {0x8000 + 8 * index}",
+        "loop:", *body, "bt r0, loop", *tail, "freet",
+    ])
+    return assemble(source, name=f"counted{index}")
+
+
+def run_counted_workload(seed: int, threads: int, per_cycle: bool,
+                         event: str | None = None, attach: bool = False) -> dict:
+    """Build and run seed ``seed``'s counted-loop workload to a horizon;
+    returns what it observed.
+
+    The first core runs ``threads`` counted loops with unequal trip
+    counts (:data:`TRIPS`) at a step of 1 or 3; some counters start at a
+    value the step does not divide, or at 0, so they wrap past 0 and
+    read the static bound or the cap.  After its loop a thread folds its
+    registers into one word and stores it, sends it to a behavioural
+    receiver on another core, or halts.  A second core runs a few more
+    loops beside a behavioural task.  ``event`` schedules a core kill
+    (``"kill"``) or a frequency step (``"frequency"``) on the first core
+    at a random moment, most likely mid-loop, besides the random
+    perturbations; ``attach`` attaches a tracer at one of the stops.
+    """
+    rng = random.Random(seed)
+    system = SwallowSystem()
+    if per_cycle:
+        for core in system.cores:
+            core.__class__ = PerCycleCore
+    main, other, receiver = rng.sample(system.cores, 3)
+    period = main.frequency.period_ps
+    made = []
+    received: list[list[int]] = []
+
+    def program(core: XCore | None = None):
+        trips = rng.choice(TRIPS)
+        step = rng.choice((1, 3))
+        start = None
+        draw = rng.random()
+        if draw < 0.1:
+            start = 0                              # wraps
+        elif draw < 0.2 and step == 3:
+            start = 3 * trips + rng.choice((1, 2))  # no multiple of 3
+        # A quiet run after the loop folds what the loop computed into r3.
+        tail: tuple = ("xor r3, r3, r1", "xor r3, r3, r2", "add r3, r3, r7")
+        regs = None
+        draw = rng.random()
+        if draw < 0.3:
+            tail += ("stw r3, r9, 0", "stw r0, r9, 1")
+        elif draw < 0.6 and core is not None:
+            channel = system.channel(core, receiver)
+            received.append([])
+            system.spawn_task(receiver, _consumer(channel.b, 1, [0], received[-1]))
+            tail += ("out r10, r3",)
+            regs = {"r10": channel.a.address.encode()}
+        made.append(_counted_program(rng, len(made), trips, step, start, tail))
+        return made[-1], regs
+
+    for _ in range(threads):
+        built, regs = program(main)
+        main.spawn(built, regs=regs)
+    for _ in range(rng.randint(1, 3)):
+        built, regs = program(other)
+        other.spawn(built, regs=regs)
+    system.spawn_task(other, _task(_ops(rng)))
+
+    horizon = 60_000 * period
+    if event == "kill":
+        system.sim.schedule_at(rng.randint(1, horizon // 2), main.fail)
+    elif event == "frequency":
+        mhz = rng.choice((100, 250, 400))
+        system.sim.schedule_at(rng.randint(1, horizon // 2),
+                               lambda: main.set_frequency(Frequency.mhz(mhz)))
+    _perturb(system, rng, [main, other], horizon, lambda: program()[0], None)
+    readers = READERS + [("isa", "pc"), ("isa", "regs")]
+    observed = _observe(system, rng, [main, other], horizon, readers, None,
+                        False, attach, until=horizon)
+    observed["received"] = received
+    return observed
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_counted_loops_match_per_cycle_ticking(seed, monkeypatch):
+    """Untraced rotations of 1-8 counted loops: trips of 1 to 5,000,
+    steps of 1 and 3, counters that wrap, stores and sends after the
+    loop, under random frequency steps, kills and late spawns."""
+    calls = _count_ticks(monkeypatch)
+    shipped = _assert_same(seed, run_counted_workload, threads=1 + seed % 8)
+    issued = sum(slots for _, slots, _ in shipped["cores"])
+    assert len(calls) < issued, "no issue fired silently"
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("event", ["kill", "frequency", "attach"])
+def test_counted_loop_interrupted_mid_loop(seed, event):
+    """A core kill, a frequency step or a tracer attach mid-loop ends the
+    run in flight exactly where per-cycle ticking stands."""
+    if event == "attach":
+        _assert_same(seed, run_counted_workload, threads=1 + seed % 8, attach=True)
+    else:
+        _assert_same(seed, run_counted_workload, threads=1 + seed % 8, event=event)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_wrapping_counter_runs_are_capped(threads, monkeypatch):
+    """A counter of 0 at entry wraps: the loop would turn 2**32 times, so
+    each budget is capped at ``QUIET_CAP`` and the run ends there with a
+    call, short of the horizon, exactly as per-cycle ticking stands.
+    One thread calls at its ``ldc`` and where its capped run ends; four
+    call at the first ``ldc``, where the others enter their loops (as
+    in :func:`test_four_thread_core_fires_its_rotation_silently`), and
+    where the first capped budget runs out, which arms the next run."""
+    source = "ldc r0, 0\nloop:\nsubi r0, r0, 1\nbt r0, loop\nfreet"
+
+    def run(per_cycle: bool) -> tuple:
+        system = SwallowSystem()
+        core = system.core(0)
+        if per_cycle:
+            core.__class__ = PerCycleCore
+        for _ in range(threads):
+            core.spawn(assemble(source))
+        horizon = (QUIET_CAP * 4 + 40_000) * core.frequency.period_ps
+        system.sim.run_until(horizon // 2)
+        middle = system.snapshot_state()
+        system.sim.run_until(horizon)
+        return (middle, system.snapshot_state(), system.sim.events_processed,
+                dict(core.stats.instructions), core.stats.slots_bubble,
+                [thread.regs.snapshot() for thread in core.threads])
+
+    reference = run(True)
+    calls = _count_ticks(monkeypatch)
+    assert run(False) == reference
+    assert len(calls) == {1: 2, 4: 3}[threads]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4, 8])
+@pytest.mark.parametrize("step", [1, 3])
+def test_divide_by_zero_after_a_counted_loop_traps_alike(threads, step):
+    """Loops of 5,000, 37, 2 and 1 turns end in a ``divu`` by the spent
+    counter: the first to finish traps at the same time, in the same
+    thread and state, as on the per-cycle twin, with the others
+    mid-loop."""
+    source = DIVIDE.replace("subi r0, r0, 1", f"subi r0, r0, {step}")
+
+    def run(per_cycle: bool) -> tuple:
+        system = SwallowSystem()
+        core = system.core(0)
+        if per_cycle:
+            core.__class__ = PerCycleCore
+        for index in range(threads):
+            core.spawn(assemble(source.format(n=step * (5000, 37, 2, 1)[index % 4])))
+        with pytest.raises(TrapError) as trap:
+            system.run()
+        return (str(trap.value), system.sim.now, system.snapshot_state())
+
+    shipped, reference = run(False), run(True)
+    assert shipped == reference
+    assert "division by zero" in shipped[0]
