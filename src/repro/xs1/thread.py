@@ -75,8 +75,14 @@ class HardwareThread:
 
     @property
     def regs(self) -> RegisterFile:
-        """The register file, up to the latest event."""
-        self.core.stats.settle()
+        """The register file, up to the latest event.
+
+        A caller may write it, so this ends the core's silent run first:
+        an ISA thread's budget reads its registers when the core arms
+        (:meth:`IsaThread.silent_budget`), and the next tick, which keeps
+        its ``(time, seq)`` slot, arms again from what the caller left.
+        """
+        self.core._disarm()
         return self.registers
 
     @property
@@ -237,8 +243,10 @@ class IsaThread(HardwareThread):
         silent run, so nothing but the thread's own issues may write its
         registers while the core is armed.  That holds: :meth:`XCore.spawn
         <repro.xs1.core.XCore.spawn>` writes them before the thread is
-        runnable, registers always hold 32-bit unsigned values, and
-        nothing else writes a running thread's registers.
+        runnable, registers always hold 32-bit unsigned values, and a
+        host reaches a running thread's registers only through
+        :attr:`regs`, which disarms the core (:meth:`snapshot_state`,
+        which only reads them, settles instead).
         """
         ip = self.ip
         bound = self._quiet
@@ -273,7 +281,9 @@ class IsaThread(HardwareThread):
         state["kind"] = "isa"
         state["pc"] = self.pc
         state["program"] = self.program.name
-        state["regs"] = self.regs.snapshot()
+        # ``pc`` settled the core; a capture only reads, so it leaves the
+        # silent run armed rather than going through :attr:`regs`.
+        state["regs"] = self.registers.snapshot()
         return state
 
     def step(self) -> StepOutcome:

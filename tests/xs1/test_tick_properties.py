@@ -16,7 +16,8 @@ and jump through registers, beside ``apps.kernels`` programs, behavioural
 ``Compute`` threads and a thread woken by an ``in``; counted ``subi``/
 ``bt`` loops of 1 to 5,000 turns at steps of 1 and 3, whose counters may
 wrap past 0; all under frequency steps on and off clock edges, core
-kills and late spawns.  The two must
+kills, late spawns and host writes to a looping thread's registers.
+The two must
 agree exactly: the kernel's event count, sequence counter and queue
 high-water mark, every core's instruction histogram and slot counters
 and every thread's counters, pc and registers (also read mid-run,
@@ -659,6 +660,47 @@ def test_counted_loop_interrupted_mid_loop(seed, event):
         _assert_same(seed, run_counted_workload, threads=1 + seed % 8, attach=True)
     else:
         _assert_same(seed, run_counted_workload, threads=1 + seed % 8, event=event)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_host_register_write_mid_loop(threads):
+    """A host write through ``thread.regs`` while the core is armed ends
+    the silent run, so each loop counts down from the written value as
+    on the per-cycle twin: SPIN from 100, ``r0`` set to 3 at cycle 100.
+    A run left armed from the old counter would spin all 100 turns."""
+
+    def run(per_cycle: bool) -> tuple:
+        system = SwallowSystem()
+        core = system.core(0)
+        if per_cycle:
+            core.__class__ = PerCycleCore
+        spawned = [core.spawn(assemble(SPIN.format(n=100)))
+                   for _ in range(threads)]
+        system.sim.run_until(100 * core.frequency.period_ps)
+        for thread in spawned:
+            thread.regs.write(0, 3)
+        system.run()
+        return ([thread.instructions_executed for thread in spawned],
+                system.sim.now, system.snapshot_state())
+
+    shipped, reference = run(False), run(True)
+    assert shipped == reference
+    if threads == 1:
+        assert shipped[:2] == ([32], 250_000)
+
+
+def test_snapshot_mid_loop_leaves_the_run_armed(monkeypatch):
+    """A capture only reads the registers: a snapshot mid-loop settles
+    the core and leaves its silent run armed, so SPIN still takes two
+    calls (the ``ldc`` and the ``freet``), as with no snapshot."""
+    calls = _count_ticks(monkeypatch)
+    system = SwallowSystem()
+    core = system.core(0)
+    core.spawn(assemble(SPIN.format(n=100)))
+    system.sim.run_until(100 * core.frequency.period_ps)
+    system.snapshot_state()
+    system.run()
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("threads", [1, 4])
